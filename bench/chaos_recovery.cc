@@ -626,11 +626,14 @@ endpointFailoverScenario(const Options &opt, ScenarioTally &tally)
     dcfg.probeAfterSeconds = 5.0; // the dead endpoint never returns
 
     for (unsigned jobs : opt.jobs) {
-        // Endpoint A dies after its second chunk reply — early
-        // enough that work definitely remains for its affine workers
-        // at any --jobs count — and the campaign must complete
-        // anyway, entirely without a journal.
-        const pid_t pidA = forkServer(sockA, 2);
+        // Endpoint A dies after its first chunk reply — early enough
+        // that work definitely remains for its affine workers at any
+        // --jobs count — and the campaign must complete anyway,
+        // entirely without a journal. Dying after the second reply
+        // was not early enough: at --jobs 4 both of A's workers could
+        // get their replies while B's workers drained the rest of the
+        // queue, and A then saw no further dispatch to fail.
+        const pid_t pidA = forkServer(sockA, 1);
         const pid_t pidB = forkServer(sockB, 0);
         tally.check(waitForServer(dcfg.endpoints[0]) &&
                         waitForServer(dcfg.endpoints[1]),

@@ -7,21 +7,22 @@
  *
  * The end-to-end benchmarks double as the perf-regression harness's
  * data source: tools/perf_smoke.py runs this binary with
- * --benchmark_format=json and distils the result into BENCH_PR9.json
+ * --benchmark_format=json and distils the result into BENCH_PR10.json
  * (guest MIPS, oracle queries/sec, Figure-8-subset wall clock), which
  * tools/perf_compare.py diffs across commits.
  *
- * The Figure-8 training-loop benchmark is registered three times:
- * arg 2 is the default fast configuration (superblocks + decode cache
- * + PhysMem frame table), arg 1 drops the superblock engine (the
+ * The Figure-8 training-loop benchmark is registered three times,
+ * its arg being the FastPath level (base/fastpath.hh): arg 3 is the
+ * default Traces level (superblocks with timing-trace replay, decode
+ * cache, PhysMem frame table, PAC memo), arg 1 is Decode (the
  * decode-cache-only configuration of earlier baselines), and arg 0 is
- * the slow reference path (everything disabled at runtime, as in a
- * PACMAN_DISABLE_FASTPATH build) — so both the end-to-end fast-vs-slow
- * speedup and the superblock engine's own contribution are measurable
- * from one binary. All three run a pinned iteration count so the
- * speedup ratios compare identical workloads (time-budgeted runs gave
- * the slow path far fewer iterations, letting per-run fixed costs
- * skew the ratio).
+ * Reference (the plain interpreter, as under PACMAN_FASTPATH=
+ * reference) — so both the end-to-end fast-vs-slow speedup and the
+ * superblock engine's own contribution are measurable from one
+ * binary. All three run a pinned iteration count so the speedup
+ * ratios compare identical workloads (time-budgeted runs gave the
+ * slow path far fewer iterations, letting per-run fixed costs skew
+ * the ratio).
  */
 
 #include <benchmark/benchmark.h>
@@ -40,19 +41,12 @@ using namespace pacman::kernel;
 namespace
 {
 
-/**
- * Machine configuration at one of three fast-path levels:
- * 0 = slow reference (no decode cache, no superblocks, no frame
- *     table), 1 = decode cache + frame table, 2 = level 1 plus the
- *     superblock threaded-dispatch engine (the shipped default).
- */
+/** Machine configuration at FastPath level @p level (0..3). */
 MachineConfig
 machineConfig(int level)
 {
     MachineConfig cfg = defaultMachineConfig();
-    cfg.core.decodeCache = level >= 1;
-    cfg.hier.fastMem = level >= 1;
-    cfg.core.superblocks = level >= 2;
+    cfg.fastPath = FastPath(level);
     return cfg;
 }
 
@@ -128,7 +122,7 @@ BENCHMARK(BM_OracleQuery);
  * The Figure-8 training-loop workload with the paper's 64 training
  * iterations per query — the loop shape every paper-scale campaign
  * spends its time in. One iteration = one full oracle query.
- * Arg: fast-path level (see machineConfig); 2 is the shipped default.
+ * Arg: FastPath level (see machineConfig); 3, Traces, is the default.
  *
  * The iteration count is pinned (not time-budgeted) so every level
  * measures the exact same query sequence and the speedup ratios
@@ -137,10 +131,7 @@ BENCHMARK(BM_OracleQuery);
 void
 BM_Fig8TrainingLoop(benchmark::State &state)
 {
-    const int level = int(state.range(0));
-    const bool prev_memo = crypto::pacMemoEnabled();
-    crypto::setPacMemoEnabled(level >= 1);
-    Machine machine(machineConfig(level));
+    Machine machine(machineConfig(int(state.range(0))));
     attack::AttackerProcess proc(machine);
     attack::PacOracle oracle(proc, fig8OracleConfig());
     oracle.setTarget(BenignDataBase + 37 * isa::PageSize, 0x6D0D);
@@ -164,11 +155,11 @@ BM_Fig8TrainingLoop(benchmark::State &state)
         double(cs.instsRetired), benchmark::Counter::kIsRate);
     state.counters["queries_per_sec"] = benchmark::Counter(
         double(state.iterations()), benchmark::Counter::kIsRate);
+    const double decode_hits = double(sb1.decodeHits - sb0.decodeHits);
     const double decode_total =
-        double(cs.icacheDecodeHits + cs.icacheDecodeMisses);
+        decode_hits + double(sb1.decodeMisses - sb0.decodeMisses);
     state.counters["decode_hit_rate"] =
-        decode_total > 0.0 ? double(cs.icacheDecodeHits) / decode_total
-                           : 0.0;
+        decode_total > 0.0 ? decode_hits / decode_total : 0.0;
     // Superblock engine telemetry (all zero below level 2): the rate
     // of instructions retired via threaded dispatch, the dispatch hit
     // rate (cached-block entries over all block entries), and the
@@ -202,10 +193,9 @@ BM_Fig8TrainingLoop(benchmark::State &state)
         trace_hits > 0.0
             ? double(sb1.traceReplays - sb0.traceReplays) / trace_hits
             : 0.0;
-    crypto::setPacMemoEnabled(prev_memo);
 }
 BENCHMARK(BM_Fig8TrainingLoop)
-    ->Arg(2)->Arg(1)->Arg(0)->Iterations(1024);
+    ->Arg(3)->Arg(1)->Arg(0)->Iterations(1024);
 
 /**
  * End-to-end wall clock of a Figure-8 subset: per benchmark

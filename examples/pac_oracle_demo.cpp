@@ -93,8 +93,7 @@ usage(const char *prog)
         "                 parallel campaign runner with N worker\n"
         "                 threads (default 1).\n"
         "  --no-snapshot  re-provision each work item's replica from\n"
-        "                 scratch instead of restoring a checkpoint\n"
-        "                 (equivalent to PACMAN_DISABLE_SNAPSHOT=1).\n"
+        "                 scratch instead of restoring a checkpoint.\n"
         "  --server E     also dispatch the campaign to a running\n"
         "                 pacman-oracled at E (unix:PATH,\n"
         "                 tcp:HOST:PORT or tcp:[V6]:PORT) and verify\n"
@@ -127,7 +126,7 @@ int
 main(int argc, char **argv)
 {
     unsigned jobs = 1;
-    bool snapshot = runner::snapshotReplicasDefault();
+    bool snapshot = true;
     std::string server;
     std::vector<std::string> endpoints;
     for (int i = 1; i < argc; ++i) {

@@ -87,58 +87,11 @@ struct CoreConfig
     // --- Performance (non-architectural) ---
 
     /**
-     * Memoize decoded instructions by physical address (skips
-     * isa::decode on hot PCs). Purely a host-side speedup — fetch
-     * timing and hierarchy state are identical either way; see
-     * cpu/decode_cache.hh. Defaults off in PACMAN_DISABLE_FASTPATH
-     * builds so the sanitizer CI leg runs the reference path.
+     * Longest superblock, in instructions. Which host-side
+     * accelerators run is the machine's FastPath level (held by the
+     * memory hierarchy), not a core setting.
      */
-#ifdef PACMAN_DISABLE_FASTPATH
-    bool decodeCache = false;
-#else
-    bool decodeCache = true;
-#endif
-
-    /**
-     * Execute straight-line runs of committed instructions as cached
-     * superblocks via a threaded dispatch loop that skips the
-     * per-instruction fetch/decode machinery while replaying its
-     * exact microarchitectural side effects (see cpu/superblock.hh).
-     * Architectural state, cycle counts and cache/TLB counters are
-     * bit-identical either way; independent of decodeCache (either
-     * toggles alone). Defaults off in PACMAN_DISABLE_FASTPATH builds
-     * so the sanitizer/reference CI legs run the plain interpreter.
-     */
-#ifdef PACMAN_DISABLE_FASTPATH
-    bool superblocks = false;
-#else
-    bool superblocks = true;
-#endif
-
-    /** Longest superblock, in instructions. */
     unsigned superblockMaxOps = 64;
-
-    /**
-     * Memoize each superblock's data-side hierarchy walk as a
-     * *timing trace*: on first execution, record per memory op the
-     * dTLB way and L1D line it hit plus the address it resolved; on
-     * re-dispatch, while the per-set generation labels of every
-     * touched set still hold (and the entry EL and address registers
-     * match), skip the translation + cache walk entirely and replay
-     * the recorded hits via Tlb/Cache::rehit — bit-identical LRU
-     * stamps, hit counters, latencies and values (see cpu/
-     * superblock.hh). Only consulted when superblocks is on. Defaults
-     * off in PACMAN_DISABLE_FASTPATH builds with the rest of the
-     * fast path, and under PACMAN_DISABLE_TIMING_TRACES alone (the
-     * no-traces CI leg: superblocks run every walk live so a replay
-     * bug cannot hide behind its own default).
-     */
-#if defined(PACMAN_DISABLE_FASTPATH) || \
-    defined(PACMAN_DISABLE_TIMING_TRACES)
-    bool timingTraces = false;
-#else
-    bool timingTraces = true;
-#endif
 
     // --- Timers ---
     uint64_t cpuFreqHz = 3'200'000'000; //!< nominal core clock

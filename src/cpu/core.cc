@@ -4,6 +4,7 @@
 #include <bit>
 
 #include "base/bitfield.hh"
+#include "base/fastpath.hh"
 #include "base/logging.hh"
 #include "base/stats.hh"
 #include "isa/disasm.hh"
@@ -354,29 +355,26 @@ Core::fetch(Addr pc, bool speculative)
     }
     out.fetchLatency = res.latency;
 
-    // PA + page write generation for the fast-path caches (decoded-
-    // instruction cache here, superblock dispatch in run()). Device
-    // pages are never executable, so res.isDevice cannot be set here;
-    // the check keeps the value path honest regardless.
-    const bool cacheable =
-        (cfg_.decodeCache || cfg_.superblocks) && !res.isDevice;
+    // From the Decode level up: the PA + page write generation for
+    // the fast-path caches (decoded-instruction cache here, superblock
+    // dispatch in run()). Device pages are never executable, so
+    // res.isDevice cannot be set here; the check keeps the value path
+    // honest regardless.
+    const bool memoize =
+        mem_->fastPath() >= FastPath::Decode && !res.isDevice;
     uint64_t page_gen = 0;
-    if (cacheable) {
-        page_gen = mem_->phys().pageGen(res.pa);
-        out.hasPa = true;
-        out.pa = res.pa;
-        out.pageGen = page_gen;
-    }
 
     // Decoded-instruction cache: consulted strictly after the
     // architectural access() above, so hierarchy state and latency
     // are identical whether it hits, misses, or is disabled. A hit
     // skips only the (state-free) value load and isa::decode.
-    const bool memoize = cfg_.decodeCache && cacheable;
     if (memoize) {
+        page_gen = mem_->phys().pageGen(res.pa);
+        out.hasPa = true;
+        out.pa = res.pa;
+        out.pageGen = page_gen;
         decodeCache_.syncEpoch(mem_->fetchEpoch());
         if (const auto *hit = decodeCache_.lookup(res.pa, page_gen)) {
-            ++stats_.icacheDecodeHits;
             ++sbStats_.decodeHits;
             if (hit->undefined) {
                 out.undefined = true;
@@ -387,7 +385,6 @@ Core::fetch(Addr pc, bool speculative)
             out.inst = hit->inst;
             return out;
         }
-        ++stats_.icacheDecodeMisses;
         ++sbStats_.decodeMisses;
     }
 
@@ -448,8 +445,10 @@ Core::execAlu(const Inst &inst)
     lastCompletion_ = std::max(lastCompletion_, done);
 }
 
+template <Core::SbMode Mode>
 bool
-Core::execMem(const Inst &inst, ExitStatus *status)
+Core::execMem(const Inst &inst, ExitStatus *status, TimingTrace *trace,
+              uint16_t op_idx)
 {
     const bool is_load = isa::instClass(inst.op) == InstClass::Load;
     uint64_t issue = cycle_ + 1;
@@ -461,24 +460,97 @@ Core::execMem(const Inst &inst, ExitStatus *status)
     const Addr va = regs_[inst.rn] +
                     (regOffset(inst.op) ? regs_[inst.rm]
                                         : uint64_t(inst.imm));
-    const auto res = mem_->access(
-        is_load ? mem::AccessKind::Load : mem::AccessKind::Store,
-        va, el_, false);
-    if (res.fault != mem::Fault::None) {
-        *status = archFault(res.fault, va,
-                            is_load ? "data abort on load"
-                                    : "data abort on store");
-        return false;
-    }
     const unsigned size = memSize(inst.op);
+
+    mem::AccessResult res;
+    mem::AccessTrace at;
+    if constexpr (Mode == SbMode::Replay) {
+        // Block execution covers a contiguous prefix of the ops, so
+        // the k-th data op executed is the k-th recorded; any length
+        // or address divergence is a soft miss.
+        if (trace->replayNext >= trace->memOps.size())
+            return false;
+        const TimingTrace::MemOp &rec = trace->memOps[trace->replayNext];
+        if (rec.opIdx != op_idx || va != rec.va)
+            return false; // divergence: nothing applied, caller runs live
+        ++trace->replayNext;
+
+        // The guarded set labels guarantee the recorded way/line still
+        // hold this VA's translation and line, and the pinned entry EL
+        // makes the recorded permission outcome (no fault) re-apply.
+        // Replay the two hits with exactly the live walk's bookkeeping
+        // and re-derive the PA from the live mapping; an all-hit walk
+        // adds no TLB latency, so the access costs exactly the
+        // (current, migration-aware) L1 load-to-use latency.
+        mem::Tlb &dtlb = mem_->dtlb();
+        mem::Tlb::Way *way = dtlb.wayAt(rec.way);
+        dtlb.rehit(way);
+        mem::Cache &l1d = mem_->l1d();
+        l1d.rehit(l1d.lineAt(rec.line));
+        res.pa = (way->entry.ppn << isa::PageShift) |
+                 isa::pageOffset(isa::vaPart(va));
+        res.latency = mem_->config().lat.l1Hit;
+    } else {
+        res = mem_->access(
+            is_load ? mem::AccessKind::Load : mem::AccessKind::Store,
+            va, el_, false, Mode == SbMode::Record ? &at : nullptr);
+        if (res.fault != mem::Fault::None) {
+            *status = archFault(res.fault, va,
+                                is_load ? "data abort on load"
+                                        : "data abort on store");
+            return false;
+        }
+    }
+
     const uint64_t done = issue + res.latency;
     if (is_load) {
-        regs_[inst.rd] = mem_->loadValue(res, va, size);
+        // A replayed op is never a device access (recording refuses
+        // them), so it reads PhysMem directly.
+        if constexpr (Mode == SbMode::Replay)
+            regs_[inst.rd] = mem_->phys().read(res.pa, size);
+        else
+            regs_[inst.rd] = mem_->loadValue(res, va, size);
         ready_[inst.rd] = done;
     } else {
-        mem_->storeValue(res, va, regs_[inst.rd], size);
+        if constexpr (Mode == SbMode::Replay)
+            mem_->phys().write(res.pa, regs_[inst.rd], size);
+        else
+            mem_->storeValue(res, va, regs_[inst.rd], size);
     }
     lastCompletion_ = std::max(lastCompletion_, done);
+
+    if constexpr (Mode == SbMode::Record) {
+        // Capture. Only an all-hit, non-device walk is replayable: it
+        // runs no victim logic, so its effect sequence is insensitive
+        // to what other accesses interleave between dispatches (as
+        // long as the guarded set memberships hold).
+        if (trace->recFailed)
+            return true;
+        if (res.isDevice) {
+            trace->recFailed = true;
+            trace->recDevice = true;
+            return true;
+        }
+        if (!at.l1TlbHit || !at.l1CacheHit) {
+            trace->recFailed = true;
+            return true;
+        }
+        mem::Tlb &dtlb = mem_->dtlb();
+        mem::Tlb::Way *way = dtlb.wayFor(
+            isa::pageNumber(isa::vaPart(va)),
+            isa::isKernelVa(va) ? mem::Asid::Kernel : mem::Asid::User);
+        mem::Cache::Line *line = mem_->l1d().lineFor(res.pa);
+        if (!way || !line) {
+            trace->recFailed = true; // unreachable after a hit; stay safe
+            return true;
+        }
+        TimingTrace::MemOp rec;
+        rec.opIdx = op_idx;
+        rec.way = uint32_t(dtlb.indexOf(way));
+        rec.line = uint32_t(mem_->l1d().indexOf(line));
+        rec.va = va;
+        trace->memOps.push_back(rec);
+    }
     return true;
 }
 
@@ -567,9 +639,30 @@ Core::execMsr(const Inst &inst, ExitStatus *status)
     return true;
 }
 
+void
+Core::mispredict(Addr wrong_pc, uint64_t resolve)
+{
+    ++stats_.branchMispredicts;
+    SpecContext &ctx = specCtx_[0];
+    ctx.regs = regs_;
+    ctx.ready = ready_;
+    ctx.poison.fill(false);
+    ctx.taint.fill(false);
+    ctx.flags = flags_;
+    ctx.flagsReady = flagsReady_;
+    ctx.flagsPoison = false;
+    unsigned rob = cfg_.robSize;
+    speculate(wrong_pc, cycle_ + 1, resolve, ctx, rob, 0);
+    cycle_ = resolve + cfg_.redirectPenalty;
+    fetchGroup_ = 0;
+}
+
 ExitStatus
 Core::run(uint64_t max_insts)
 {
+    // Guest code at Reference runs the uncached cipher.
+    crypto::selectPacMemo(mem_->fastPath());
+    const bool superblocks = mem_->fastPath() >= FastPath::Superblocks;
     for (uint64_t n = 0; n < max_insts; ++n) {
         // Fetch-group pacing: fetchWidth instructions per cycle.
         if (++fetchGroup_ >= cfg_.fetchWidth) {
@@ -606,7 +699,7 @@ Core::run(uint64_t max_insts)
         // per-instruction side effects. Only attempted with no trace
         // hook armed and a cacheable PA in hand; ineligible opcodes
         // and every block exit fall through to the interpreter below.
-        if (cfg_.superblocks && !traceHook_ && f.hasPa) {
+        if (superblocks && !traceHook_ && f.hasPa) {
             SbOpKind kind0;
             if (sbKindFor(inst.op, &kind0)) {
                 superblocks_.syncEpoch(mem_->fetchEpoch(), &sbStats_);
@@ -653,7 +746,7 @@ Core::run(uint64_t max_insts)
           case InstClass::Load:
           case InstClass::Store: {
             ExitStatus status;
-            if (!execMem(inst, &status))
+            if (!execMem<SbMode::Live>(inst, &status))
                 return status;
             break;
           }
@@ -675,22 +768,8 @@ Core::run(uint64_t max_insts)
             const uint64_t resolve =
                 std::max(cycle_ + 1, op_ready) + cfg_.branchResolveLat;
             predictor_.update(pc_, actual);
-            if (predicted != actual) {
-                ++stats_.branchMispredicts;
-                SpecContext &ctx = specCtx_[0];
-                ctx.regs = regs_;
-                ctx.ready = ready_;
-                ctx.poison.fill(false);
-                ctx.taint.fill(false);
-                ctx.flags = flags_;
-                ctx.flagsReady = flagsReady_;
-                ctx.flagsPoison = false;
-                unsigned rob = cfg_.robSize;
-                speculate(predicted ? taken_target : next_pc, cycle_ + 1,
-                          resolve, ctx, rob, 0);
-                cycle_ = resolve + cfg_.redirectPenalty;
-                fetchGroup_ = 0;
-            }
+            if (predicted != actual)
+                mispredict(predicted ? taken_target : next_pc, resolve);
             if (actual)
                 next_pc = taken_target;
             break;
@@ -731,19 +810,7 @@ Core::run(uint64_t max_insts)
                 ready_[isa::LR] = cycle_ + 1;
             }
             if (predicted && *predicted != target) {
-                ++stats_.branchMispredicts;
-                SpecContext &ctx = specCtx_[0];
-                ctx.regs = regs_;
-                ctx.ready = ready_;
-                ctx.poison.fill(false);
-                ctx.taint.fill(false);
-                ctx.flags = flags_;
-                ctx.flagsReady = flagsReady_;
-                ctx.flagsPoison = false;
-                unsigned rob = cfg_.robSize;
-                speculate(*predicted, cycle_ + 1, resolve, ctx, rob, 0);
-                cycle_ = resolve + cfg_.redirectPenalty;
-                fetchGroup_ = 0;
+                mispredict(*predicted, resolve);
             } else if (!predicted) {
                 // BTB miss: the front end waits for the target.
                 cycle_ = resolve;
@@ -971,7 +1038,7 @@ Core::beginTraceRecord(Superblock &sb)
 Core::SbMode
 Core::chooseSbMode(Superblock &sb)
 {
-    if (!cfg_.timingTraces)
+    if (mem_->fastPath() < FastPath::Traces)
         return SbMode::Live;
     TimingTrace &trace = sb.trace;
 
@@ -1021,117 +1088,6 @@ Core::chooseSbMode(Superblock &sb)
     }
     ++sbStats_.traceReplays;
     return SbMode::Replay;
-}
-
-bool
-Core::execMemRecord(const Inst &inst, ExitStatus *status,
-                    uint16_t op_idx, Superblock &sb)
-{
-    // Live execution, identical to execMem() — plus the hit-path
-    // capture below.
-    const bool is_load = isa::instClass(inst.op) == InstClass::Load;
-    uint64_t issue = cycle_ + 1;
-    issue = std::max(issue, ready_[inst.rn]);
-    if (regOffset(inst.op))
-        issue = std::max(issue, ready_[inst.rm]);
-    if (!is_load)
-        issue = std::max(issue, ready_[inst.rd]);
-    const Addr va = regs_[inst.rn] +
-                    (regOffset(inst.op) ? regs_[inst.rm]
-                                        : uint64_t(inst.imm));
-    mem::AccessTrace at;
-    const auto res = mem_->access(
-        is_load ? mem::AccessKind::Load : mem::AccessKind::Store,
-        va, el_, false, &at);
-    if (res.fault != mem::Fault::None) {
-        *status = archFault(res.fault, va,
-                            is_load ? "data abort on load"
-                                    : "data abort on store");
-        return false;
-    }
-    const unsigned size = memSize(inst.op);
-    const uint64_t done = issue + res.latency;
-    if (is_load) {
-        regs_[inst.rd] = mem_->loadValue(res, va, size);
-        ready_[inst.rd] = done;
-    } else {
-        mem_->storeValue(res, va, regs_[inst.rd], size);
-    }
-    lastCompletion_ = std::max(lastCompletion_, done);
-
-    // Capture. Only an all-hit, non-device walk is replayable: it
-    // runs no victim logic, so its effect sequence is insensitive to
-    // what other accesses interleave between dispatches (as long as
-    // the guarded set memberships hold).
-    TimingTrace &trace = sb.trace;
-    if (trace.recFailed)
-        return true;
-    if (res.isDevice) {
-        trace.recFailed = true;
-        trace.recDevice = true;
-        return true;
-    }
-    if (!at.l1TlbHit || !at.l1CacheHit) {
-        trace.recFailed = true;
-        return true;
-    }
-    mem::Tlb &dtlb = mem_->dtlb();
-    mem::Tlb::Way *way = dtlb.wayFor(
-        isa::pageNumber(isa::vaPart(va)),
-        isa::isKernelVa(va) ? mem::Asid::Kernel : mem::Asid::User);
-    mem::Cache::Line *line = mem_->l1d().lineFor(res.pa);
-    if (!way || !line) {
-        trace.recFailed = true; // unreachable after a hit; stay safe
-        return true;
-    }
-    TimingTrace::MemOp rec;
-    rec.opIdx = op_idx;
-    rec.way = uint32_t(dtlb.indexOf(way));
-    rec.line = uint32_t(mem_->l1d().indexOf(line));
-    rec.va = va;
-    trace.memOps.push_back(rec);
-    return true;
-}
-
-bool
-Core::execMemReplay(const Inst &inst, const TimingTrace::MemOp &rec)
-{
-    const bool is_load = isa::instClass(inst.op) == InstClass::Load;
-    uint64_t issue = cycle_ + 1;
-    issue = std::max(issue, ready_[inst.rn]);
-    if (regOffset(inst.op))
-        issue = std::max(issue, ready_[inst.rm]);
-    if (!is_load)
-        issue = std::max(issue, ready_[inst.rd]);
-    const Addr va = regs_[inst.rn] +
-                    (regOffset(inst.op) ? regs_[inst.rm]
-                                        : uint64_t(inst.imm));
-    if (va != rec.va)
-        return false; // divergence: nothing applied, caller runs live
-
-    // The guarded set labels guarantee the recorded way/line still
-    // hold this VA's translation and line, and the pinned entry EL
-    // makes the recorded permission outcome (no fault) re-apply.
-    // Replay the two hits with exactly the live walk's bookkeeping
-    // and re-derive the PA from the live mapping; an all-hit walk
-    // adds no TLB latency, so the access costs exactly the (current,
-    // migration-aware) L1 load-to-use latency.
-    mem::Tlb &dtlb = mem_->dtlb();
-    mem::Tlb::Way *way = dtlb.wayAt(rec.way);
-    dtlb.rehit(way);
-    mem::Cache &l1d = mem_->l1d();
-    l1d.rehit(l1d.lineAt(rec.line));
-    const Addr pa = (way->entry.ppn << isa::PageShift) |
-                    isa::pageOffset(isa::vaPart(va));
-    const uint64_t done = issue + mem_->config().lat.l1Hit;
-    if (is_load) {
-        regs_[inst.rd] = mem_->phys().read(pa, memSize(inst.op));
-        ready_[inst.rd] = done;
-    } else {
-        mem_->phys().write(pa, regs_[inst.rd], memSize(inst.op));
-    }
-    lastCompletion_ = std::max(lastCompletion_, done);
-    return true;
 }
 
 void
@@ -1214,21 +1170,13 @@ Core::finalizeTraceRecord(Superblock &sb)
     ++sbStats_.tracesRecorded;
 }
 
-// Threaded dispatch: on GNU-compatible compilers each op jumps
-// through a label table (computed goto); elsewhere a dense switch
-// provides the same control flow.
-#if defined(__GNUC__) || defined(__clang__)
-#define PACMAN_SB_COMPUTED_GOTO 1
-#else
-#define PACMAN_SB_COMPUTED_GOTO 0
-#endif
-
 uint64_t
 Core::runSuperblock(Superblock &sb, uint64_t budget,
                     ExitStatus *status, bool *exited, SbMode mode)
 {
-    // Timing-trace state. The replay cursor walks the recorded data
-    // ops in lockstep with execution: block execution always covers a
+    // Timing-trace state. The replay cursor (trace.replayNext, which
+    // execMem<Replay> reads and advances) walks the recorded data ops
+    // in lockstep with execution: block execution always covers a
     // contiguous prefix of ops[] (a branch resolving off-trace exits
     // at the pc check in sb_next), so the k-th data op executed is
     // the k-th recorded. Divergence (length or address) is a soft
@@ -1236,7 +1184,7 @@ Core::runSuperblock(Superblock &sb, uint64_t budget,
     // survives. A replay that never diverged resets the consecutive-
     // miss counter on exit, whichever exit path is taken.
     TimingTrace &trace = sb.trace;
-    size_t cursor = 0;
+    trace.replayNext = 0;
     struct ReplayReset
     {
         const SbMode &mode;
@@ -1290,10 +1238,11 @@ Core::runSuperblock(Superblock &sb, uint64_t budget,
     // stale decoded op can execute. Conditional branches peek their
     // outcome against the predictor first — with no side effect at
     // all — and bail to the interpreter on a mispredict, which owns
-    // the speculation machinery.
-#if PACMAN_SB_COMPUTED_GOTO
+    // the speculation machinery. Each op jumps through a label table
+    // (computed goto, a GNU extension the rest of the tree already
+    // relies on via __attribute__).
     static const void *const kDispatch[] = {
-        &&sb_alu, &&sb_load, &&sb_store, &&sb_pac, &&sb_branch,
+        &&sb_alu, &&sb_mem, &&sb_mem, &&sb_pac, &&sb_branch,
         &&sb_branch_cond, &&sb_mrs, &&sb_msr, &&sb_barrier};
 
   sb_dispatch:
@@ -1306,64 +1255,27 @@ Core::runSuperblock(Superblock &sb, uint64_t budget,
     pc_ += isa::InstBytes;
     goto sb_next;
 
-  sb_load:
+  sb_mem:
     ++stats_.instsRetired;
     ++executed;
     if (mode == SbMode::Replay) {
-        if (cursor < trace.memOps.size() &&
-            trace.memOps[cursor].opIdx ==
-                uint16_t(op - sb.ops.data()) &&
-            execMemReplay(op->inst, trace.memOps[cursor])) {
-            ++cursor;
+        if (execMem<SbMode::Replay>(op->inst, status, &trace,
+                                    uint16_t(op - sb.ops.data()))) {
             ++sbStats_.traceOpsReplayed;
-            pc_ += isa::InstBytes;
-            goto sb_next;
+            goto sb_mem_done;
         }
         mode = SbMode::Live; // soft miss: live for the rest
         ++trace.softMisses;
         ++sbStats_.traceSoftMisses;
-    } else if (mode == SbMode::Record) {
-        if (!execMemRecord(op->inst, status,
-                           uint16_t(op - sb.ops.data()), sb))
-            goto sb_fault;
-        pc_ += isa::InstBytes;
-        goto sb_next;
     }
-    if (!execMem(op->inst, status))
+    if (mode == SbMode::Record
+            ? !execMem<SbMode::Record>(op->inst, status, &trace,
+                                       uint16_t(op - sb.ops.data()))
+            : !execMem<SbMode::Live>(op->inst, status))
         goto sb_fault;
-    pc_ += isa::InstBytes;
-    goto sb_next;
-
-  sb_store:
-    ++stats_.instsRetired;
-    ++executed;
-    if (mode == SbMode::Replay) {
-        if (cursor < trace.memOps.size() &&
-            trace.memOps[cursor].opIdx ==
-                uint16_t(op - sb.ops.data()) &&
-            execMemReplay(op->inst, trace.memOps[cursor])) {
-            ++cursor;
-            ++sbStats_.traceOpsReplayed;
-            if (mem_->phys().pageGen(sb.pa) != sb.gen)
-                goto sb_smc;
-            pc_ += isa::InstBytes;
-            goto sb_next;
-        }
-        mode = SbMode::Live; // soft miss: live for the rest
-        ++trace.softMisses;
-        ++sbStats_.traceSoftMisses;
-    } else if (mode == SbMode::Record) {
-        if (!execMemRecord(op->inst, status,
-                           uint16_t(op - sb.ops.data()), sb))
-            goto sb_fault;
-        if (mem_->phys().pageGen(sb.pa) != sb.gen)
-            goto sb_smc;
-        pc_ += isa::InstBytes;
-        goto sb_next;
-    }
-    if (!execMem(op->inst, status))
-        goto sb_fault;
-    if (mem_->phys().pageGen(sb.pa) != sb.gen)
+  sb_mem_done:
+    if (op->kind == SbOpKind::Store &&
+        mem_->phys().pageGen(sb.pa) != sb.gen)
         goto sb_smc;
     pc_ += isa::InstBytes;
     goto sb_next;
@@ -1477,135 +1389,6 @@ Core::runSuperblock(Superblock &sb, uint64_t budget,
   sb_fault:
     *exited = true;
     return executed;
-#else
-    for (;;) {
-        switch (op->kind) {
-          case SbOpKind::Alu:
-            ++stats_.instsRetired;
-            ++executed;
-            execAlu(op->inst);
-            pc_ += isa::InstBytes;
-            break;
-          case SbOpKind::Load:
-          case SbOpKind::Store: {
-            ++stats_.instsRetired;
-            ++executed;
-            bool ran = false;
-            if (mode == SbMode::Replay) {
-                if (cursor < trace.memOps.size() &&
-                    trace.memOps[cursor].opIdx ==
-                        uint16_t(op - sb.ops.data()) &&
-                    execMemReplay(op->inst, trace.memOps[cursor])) {
-                    ++cursor;
-                    ++sbStats_.traceOpsReplayed;
-                    ran = true;
-                } else {
-                    mode = SbMode::Live; // soft miss: live for rest
-                    ++trace.softMisses;
-                    ++sbStats_.traceSoftMisses;
-                }
-            }
-            if (!ran && mode == SbMode::Record) {
-                if (!execMemRecord(op->inst, status,
-                                   uint16_t(op - sb.ops.data()), sb)) {
-                    *exited = true;
-                    return executed;
-                }
-                ran = true;
-            }
-            if (!ran && !execMem(op->inst, status)) {
-                *exited = true;
-                return executed;
-            }
-            if (op->kind == SbOpKind::Store &&
-                mem_->phys().pageGen(sb.pa) != sb.gen) {
-                pc_ += isa::InstBytes;
-                ++sbStats_.fallbackExits;
-                return executed;
-            }
-            pc_ += isa::InstBytes;
-            break;
-          }
-          case SbOpKind::Pac:
-            ++stats_.instsRetired;
-            ++executed;
-            if (!execPac(op->inst, status)) {
-                *exited = true;
-                return executed;
-            }
-            pc_ += isa::InstBytes;
-            break;
-          case SbOpKind::Branch:
-            ++stats_.instsRetired;
-            ++executed;
-            pc_ = execBranchDirect(op->inst);
-            break;
-          case SbOpKind::Mrs:
-            ++stats_.instsRetired;
-            ++executed;
-            if (!execMrs(op->inst, status)) {
-                *exited = true;
-                return executed;
-            }
-            pc_ += isa::InstBytes;
-            break;
-          case SbOpKind::Msr:
-            ++stats_.instsRetired;
-            ++executed;
-            if (!execMsr(op->inst, status)) {
-                *exited = true;
-                return executed;
-            }
-            pc_ += isa::InstBytes;
-            break;
-          case SbOpKind::Barrier:
-            ++stats_.instsRetired;
-            ++executed;
-            serialize(cfg_.isbDrain);
-            pc_ += isa::InstBytes;
-            break;
-          case SbOpKind::BranchCond: {
-            const isa::Inst &bi = op->inst;
-            const bool actual = condActual(bi);
-            // Entry op only — later branches are peeked below before
-            // their fetch is replayed.
-            if (predictor_.predict(pc_) != actual) {
-                ++sbStats_.fallbackExits;
-                return executed;
-            }
-            ++stats_.instsRetired;
-            ++executed;
-            ++stats_.branches;
-            predictor_.update(pc_, actual);
-            pc_ = actual ? pc_ + uint64_t(bi.imm)
-                         : pc_ + isa::InstBytes;
-            break;
-          }
-        }
-        if (++op == end || executed >= budget ||
-            pc_ != (va_base | Addr(op->pageOff)))
-            return executed;
-        if (op->kind == SbOpKind::BranchCond &&
-            predictor_.predict(pc_) != condActual(op->inst)) {
-            ++sbStats_.fallbackExits;
-            return executed;
-        }
-        pa = pa_base | Addr(op->pageOff);
-        if (++fetchGroup_ >= cfg_.fetchWidth) {
-            fetchGroup_ = 0;
-            ++cycle_;
-        }
-        itlb.rehit(way);
-        if ((pa >> line_shift) == cur_line) {
-            mem_->l1i().rehit(line);
-        } else {
-            cur_line = pa >> line_shift;
-            const uint64_t lat = mem_->fetchLineAccess(pa, &line);
-            if (lat > l1_lat)
-                cycle_ += lat - l1_lat;
-        }
-    }
-#endif
 }
 
 void

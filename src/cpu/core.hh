@@ -94,11 +94,6 @@ struct CoreStats
     uint64_t wrongPathMemOps = 0;
     uint64_t specFaultsSuppressed = 0;
     uint64_t syscalls = 0;
-
-    // Decode-cache effectiveness (host-side perf; not architectural —
-    // excluded from the fast-vs-slow equivalence dumps).
-    uint64_t icacheDecodeHits = 0;
-    uint64_t icacheDecodeMisses = 0;
 };
 
 /** The core. One instance per simulated hardware thread. */
@@ -164,9 +159,9 @@ class Core
     void resetStats() { stats_ = CoreStats{}; }
 
     /**
-     * Monotonic fast-path telemetry (superblock + decode-cache
-     * counters). Unlike stats(), never rewound by restore() or
-     * cleared by resetStats() — see SuperblockStats.
+     * Monotonic fast-path telemetry (superblock, decode-cache and
+     * timing-trace counters). Unlike stats(), never rewound by
+     * restore() or cleared by resetStats() — see SuperblockStats.
      */
     const SuperblockStats &superblockStats() const { return sbStats_; }
     const CoreConfig &config() const { return cfg_; }
@@ -242,14 +237,48 @@ class Core
     uint64_t ccsidrValue() const;
     void serialize(uint64_t extra);
 
+    /**
+     * A committed branch at pc_ mispredicted toward @p wrong_pc: run
+     * that wrong path until @p resolve on a fresh copy of the
+     * architectural context, then pay the squash + refetch bubble.
+     */
+    void mispredict(isa::Addr wrong_pc, uint64_t resolve);
+
+    /** How one superblock dispatch (or one memory op) treats the
+     *  block's timing trace (DESIGN.md §4k). */
+    enum class SbMode : uint8_t
+    {
+        Live,   //!< full per-op hierarchy walk, no trace in play
+        Record, //!< live walk while capturing a fresh trace
+        Replay, //!< guards held: apply recorded hits via rehit()
+    };
+
     // Committed-path executors, shared verbatim between the
     // interpreter switch in run() and the superblock dispatch loop.
     // pc_ must hold the instruction's own pc on entry (fault
     // reporting and link-register writes read it); the caller
     // advances it afterwards.
     void execAlu(const isa::Inst &inst);
-    /** @return false when the access faulted; *status is filled. */
-    bool execMem(const isa::Inst &inst, ExitStatus *status);
+
+    /**
+     * One committed load or store; the interpreter and Live-mode
+     * blocks use Live. Record runs the same walk and also captures
+     * the op (superblock op @p op_idx) into @p trace: its resolved VA
+     * and the dTLB way / L1D line it hit, or marks the recording
+     * failed when the walk was not an all-hit, non-device access.
+     * Replay re-derives the VA from live registers and, when it
+     * matches trace->memOps[trace->replayNext], applies the recorded
+     * dTLB/L1D hits via rehit(), deriving the PA from the live TLB
+     * entry — bit-identical to the live all-hit walk at a fraction of
+     * the cost.
+     * @return false when the op did not complete: a fault (Live and
+     * Record; *status is filled) or a VA divergence (Replay; nothing
+     * was applied, so the caller runs the op live and drops to Live
+     * for the rest of the block).
+     */
+    template <SbMode Mode>
+    bool execMem(const isa::Inst &inst, ExitStatus *status,
+                 TimingTrace *trace = nullptr, uint16_t op_idx = 0);
     /** @return false on an FPAC fault; *status is filled. */
     bool execPac(const isa::Inst &inst, ExitStatus *status);
     /** @return the branch target (next pc). */
@@ -260,14 +289,6 @@ class Core
     bool execMsr(const isa::Inst &inst, ExitStatus *status);
 
     // --- Timing-trace machinery (DESIGN.md §4k) ---
-
-    /** How one dispatch of runSuperblock treats the block's trace. */
-    enum class SbMode : uint8_t
-    {
-        Live,   //!< full per-op hierarchy walk, no trace in play
-        Record, //!< live walk while capturing a fresh trace
-        Replay, //!< guards held: apply recorded hits via rehit()
-    };
 
     /**
      * Pick the execution mode for this dispatch of @p sb: Replay when
@@ -296,29 +317,6 @@ class Core
     /** Verify and publish (or discard) the trace captured during a
      *  Record-mode run of @p sb. */
     void finalizeTraceRecord(Superblock &sb);
-
-    /**
-     * execMem with trace capture: identical architectural, timing and
-     * hierarchy effects, plus records the op's resolved VA and the
-     * dTLB way / L1D line it hit into @p sb's trace — or marks the
-     * recording failed when the op was not an all-hit, non-device
-     * access.
-     */
-    bool execMemRecord(const isa::Inst &inst, ExitStatus *status,
-                       uint16_t op_idx, Superblock &sb);
-
-    /**
-     * Replay one recorded data op: computes issue timing from the
-     * live scoreboard, re-derives the VA from live registers and —
-     * when it matches @p rec.va — applies the recorded dTLB/L1D hits
-     * via rehit(), deriving the PA from the live TLB entry. Bit-
-     * identical to the live all-hit walk at a fraction of the cost.
-     * @return false when the VA diverged (nothing was applied; the
-     * caller must run the op live and drop to Live for the rest of
-     * the block).
-     */
-    bool execMemReplay(const isa::Inst &inst,
-                       const TimingTrace::MemOp &rec);
 
     /**
      * Execute @p sb through the threaded dispatch loop, starting at

@@ -61,6 +61,7 @@
 #ifndef PACMAN_CPU_SUPERBLOCK_HH
 #define PACMAN_CPU_SUPERBLOCK_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -199,6 +200,10 @@ struct TimingTrace
     bool recFailed = false; //!< a data op was not an all-hit access
     bool recDevice = false; //!< ... because it touched a device page
 
+    /** Replay cursor, meaningful only during a Replay dispatch: the
+     *  index in memOps of the next data op to replay. */
+    size_t replayNext = 0;
+
     /** Forget the recording but keep vector capacity (rebuild-free). */
     void
     reset()
@@ -244,9 +249,8 @@ struct SuperblockStats
                                 //!< predictor gets wrong (speculation
                                 //!< belongs to the interpreter)
 
-    // Monotonic mirrors of CoreStats::icacheDecode{Hits,Misses},
-    // bumped at the same sites; see the struct comment for why the
-    // CoreStats copies cannot serve telemetry across restores.
+    // Decoded-instruction cache lookups in Core::fetch (Decode level
+    // and up): served from the cache, or decoded and inserted.
     uint64_t decodeHits = 0;
     uint64_t decodeMisses = 0;
 

@@ -39,14 +39,12 @@ constexpr size_t PacMemoSets = 1024; //!< power of two
 
 thread_local std::array<PacMemoSet, PacMemoSets> pacMemoTable;
 
-#ifdef PACMAN_DISABLE_FASTPATH
-thread_local bool pacMemoOn = false;
-#else
 thread_local bool pacMemoOn = true;
-#endif
+
+} // namespace
 
 size_t
-pacMemoIndex(uint64_t ptr, uint64_t mod, uint64_t k0)
+pacMemoSet(uint64_t ptr, uint64_t mod, uint64_t k0)
 {
     // Full multiplicative mix before truncation: the live tuples are
     // page-aligned kernel pointers sharing their high half, so any
@@ -57,8 +55,6 @@ pacMemoIndex(uint64_t ptr, uint64_t mod, uint64_t k0)
     h ^= h >> 29;
     return size_t(h) & (PacMemoSets - 1);
 }
-
-} // namespace
 
 const char *
 pacKeyName(PacKeySelect sel)
@@ -86,7 +82,7 @@ computePac(uint64_t canonical_ptr, uint64_t modifier, const PacKey &key,
                e.w0 == key.w0 && e.k0 == key.k0 && e.meta == meta;
     };
     if (pacMemoOn) {
-        set = &pacMemoTable[pacMemoIndex(canonical_ptr, modifier, key.k0)];
+        set = &pacMemoTable[pacMemoSet(canonical_ptr, modifier, key.k0)];
         if (matches(set->way[0]))
             return set->way[0].pac;
         if (matches(set->way[1])) {
@@ -109,15 +105,9 @@ computePac(uint64_t canonical_ptr, uint64_t modifier, const PacKey &key,
 }
 
 void
-setPacMemoEnabled(bool on)
+selectPacMemo(FastPath level)
 {
-    pacMemoOn = on;
-}
-
-bool
-pacMemoEnabled()
-{
-    return pacMemoOn;
+    pacMemoOn = level >= FastPath::Decode;
 }
 
 } // namespace pacman::crypto

@@ -11,8 +11,10 @@
 #ifndef PACMAN_CRYPTO_PAC_HH
 #define PACMAN_CRYPTO_PAC_HH
 
+#include <cstddef>
 #include <cstdint>
 
+#include "base/fastpath.hh"
 #include "crypto/qarma64.hh"
 
 namespace pacman::crypto
@@ -64,14 +66,17 @@ uint16_t computePac(uint64_t canonical_ptr, uint64_t modifier,
                     int rounds = 7);
 
 /**
- * Toggle the (thread-local) computePac memo table. computePac is a
- * pure function, so memoization cannot change any result — a memo hit
- * requires the full (pointer, modifier, key, width, rounds) tuple to
- * match — but the attack's training loops authenticate the same
- * pointer thousands of times, and skipping the repeated QARMA key
- * schedule + rounds is the single largest hot-path win. Defaults on;
- * a PACMAN_DISABLE_FASTPATH build defaults it off so the slow
- * reference configuration measures the uncached cipher.
+ * Set the calling thread's computePac memo from the fast-path level:
+ * on at Decode and above, off at Reference. Core::run calls this on
+ * entry, so guest code running at Reference measures the uncached
+ * cipher; the memo is on for a thread that has run no machine yet.
+ *
+ * computePac is a pure function, so memoization cannot change any
+ * result — a memo hit requires the full (pointer, modifier, key,
+ * width, rounds) tuple to match — but the attack's training loops
+ * authenticate the same pointer thousands of times, and skipping the
+ * repeated QARMA key schedule + rounds is the single largest hot-path
+ * win.
  *
  * The table and the flag are thread_local: parallel campaign workers
  * neither share nor contend on memo state.
@@ -82,8 +87,10 @@ uint16_t computePac(uint64_t canonical_ptr, uint64_t modifier,
  * a memo entry for an old key can only be hit by a query using that
  * old key — so no flush is needed (or performed) on either path.
  */
-void setPacMemoEnabled(bool on);
-bool pacMemoEnabled();
+void selectPacMemo(FastPath level);
+
+/** The memo set a tuple maps to (tests use it to force collisions). */
+size_t pacMemoSet(uint64_t canonical_ptr, uint64_t modifier, uint64_t k0);
 
 } // namespace pacman::crypto
 

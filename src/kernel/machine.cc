@@ -20,7 +20,7 @@ defaultMachineConfig()
 
 Machine::Machine(const MachineConfig &cfg)
     : cfg_(cfg), rng_(cfg.seed), noiseRng_(rng_.fork(NoiseStream)),
-      mem_(cfg.hier, &rng_), core_(cfg.core, &mem_, &rng_),
+      mem_(cfg.hier, &rng_, cfg.fastPath), core_(cfg.core, &mem_, &rng_),
       timer_(core_.cyclePtr(), cfg.timerRatePer1k, cfg.timerJitter,
              &rng_),
       kernel_(&core_, &mem_, &rng_)
@@ -77,13 +77,13 @@ Machine::statsReport()
     row("wrong-path instructions", cs.wrongPathInsts);
     row("wrong-path memory ops", cs.wrongPathMemOps);
     row("speculative faults suppressed", cs.specFaultsSuppressed);
-    // Host-side perf counters (not architectural state): how well the
-    // decoded-instruction cache is absorbing front-end decode work.
-    row("decode-cache hits", cs.icacheDecodeHits);
-    row("decode-cache misses", cs.icacheDecodeMisses);
-    // Superblock engine telemetry (monotonic — unlike CoreStats these
-    // never rewind on snapshot restore; see cpu/superblock.hh).
+    // Host-side fast-path telemetry (monotonic — unlike CoreStats
+    // these never rewind on snapshot restore; see cpu/superblock.hh):
+    // how well the decoded-instruction cache is absorbing front-end
+    // decode work, then the superblock engine.
     const cpu::SuperblockStats &sbs = core_.superblockStats();
+    row("decode-cache hits", sbs.decodeHits);
+    row("decode-cache misses", sbs.decodeMisses);
     row("superblocks built", sbs.blocksBuilt);
     row("superblock hits", sbs.blockHits);
     row("superblock instructions", sbs.blockInsts);

@@ -29,6 +29,12 @@ struct MachineConfig
     uint64_t seed = 42;
 
     /**
+     * Which host-side accelerators run (base/fastpath.hh). Every
+     * level is bit-identical; the default comes from PACMAN_FASTPATH.
+     */
+    FastPath fastPath = defaultFastPath();
+
+    /**
      * Thread-timer throughput (counts per 1000 cycles) and jitter.
      * Calibrated so a dTLB-hit measurement never exceeds ~28 counts
      * and a dTLB miss never drops below ~32 — reproducing Figure 7(b)

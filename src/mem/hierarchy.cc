@@ -5,8 +5,10 @@
 namespace pacman::mem
 {
 
-MemoryHierarchy::MemoryHierarchy(const HierarchyConfig &cfg, Random *rng)
-    : cfg_(cfg), rng_(rng), phys_(cfg.fastMem),
+MemoryHierarchy::MemoryHierarchy(const HierarchyConfig &cfg, Random *rng,
+                                 FastPath fast_path)
+    : cfg_(cfg), fastPath_(fast_path), rng_(rng),
+      phys_(fast_path >= FastPath::Decode),
       l1i_(cfg.l1i, cfg.replPolicy, rng),
       l1d_(cfg.l1d, cfg.replPolicy, rng),
       l2_(cfg.l2, cfg.replPolicy, rng),

@@ -20,6 +20,7 @@
 #include <memory>
 #include <vector>
 
+#include "base/fastpath.hh"
 #include "base/random.hh"
 #include "mem/cache.hh"
 #include "mem/config.hh"
@@ -87,8 +88,12 @@ class MemoryHierarchy
     /**
      * @param cfg Geometry/latency configuration (e.g. m1PCoreConfig()).
      * @param rng Shared RNG (replacement tie-breaks, noise).
+     * @param fast_path The machine's fast-path level. The hierarchy
+     *            backs PhysMem with the frame table from Decode up,
+     *            and holds the level for the core it serves.
      */
-    MemoryHierarchy(const HierarchyConfig &cfg, Random *rng);
+    MemoryHierarchy(const HierarchyConfig &cfg, Random *rng,
+                    FastPath fast_path = defaultFastPath());
 
     // --- Mapping management (used by the kernel model) ---
 
@@ -170,6 +175,9 @@ class MemoryHierarchy
     Tlb &l2tlb() { return l2tlb_; }
 
     const HierarchyConfig &config() const { return cfg_; }
+
+    /** The machine's fast-path level (fixed at construction). */
+    FastPath fastPath() const { return fastPath_; }
 
     /**
      * Swap the latency constants mid-run (core migration: the thread
@@ -257,6 +265,7 @@ class MemoryHierarchy
                      unsigned el) const;
 
     HierarchyConfig cfg_;
+    const FastPath fastPath_;
     Random *rng_;
     PhysMem phys_;
     PageTable pt_;

@@ -15,9 +15,8 @@
  *    compares and two array indexes instead of a hash lookup.
  *  - The *sparse map* fallback: an `unordered_map` keyed by PPN, used
  *    for frames outside the windows (huge synthetic addresses, device
- *    frames) — and for everything when the fast path is disabled
- *    (`fastFrames = false`, the PACMAN_DISABLE_FASTPATH reference
- *    configuration).
+ *    frames) — and for everything at the Reference fast-path level
+ *    (`fastFrames = false`).
  *
  * Both paths are bit-identical by contract; the fast-vs-slow
  * equivalence suite (tests/runner/test_fastpath_equiv.cc) proves it

@@ -17,9 +17,9 @@
  * every per-item result is a pure function of the item index either
  * way, which is what lets the merged campaign output be bit-identical
  * at any thread count AND across the two provisioning modes.
- * ReplicaConfig::snapshot (or the PACMAN_DISABLE_SNAPSHOT environment
- * variable) selects the fresh-provision reference path, mirroring the
- * fastpath ablation pattern. See DESIGN.md §4c/§4f.
+ * ReplicaConfig::snapshot = false selects the fresh-provision
+ * reference path, mirroring the fast-path equivalence rungs. See
+ * DESIGN.md §4c/§4f.
  *
  * Durability (DESIGN.md §4g): with SupervisionConfig::journalPath
  * set, every completed chunk is appended fsync'd to an append-only

@@ -54,13 +54,6 @@
 namespace pacman::runner
 {
 
-/**
- * Default for ReplicaConfig::snapshot: true unless the
- * PACMAN_DISABLE_SNAPSHOT environment variable is set (to anything).
- * Read once per process.
- */
-bool snapshotReplicasDefault();
-
 /** What each worker's replica is provisioned with. */
 struct ReplicaConfig
 {
@@ -105,7 +98,7 @@ struct ReplicaConfig
      * re-provisioning. Either way the per-item results are
      * bit-identical; only wall-clock time differs.
      */
-    bool snapshot = snapshotReplicasDefault();
+    bool snapshot = true;
 };
 
 /** Supervision knobs for a campaign's workers. */

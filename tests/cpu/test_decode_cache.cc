@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "asm/assembler.hh"
 #include "cpu/core.hh"
 #include "cpu/decode_cache.hh"
@@ -134,25 +136,28 @@ class DecodeCacheCoreTest : public ::testing::Test
 {
   protected:
     DecodeCacheCoreTest()
-        : rng(1), hier(mem::m1PCoreConfig(), &rng),
-          core(cacheOnConfig(), &hier, &rng)
+        : rng(1), hier(mem::m1PCoreConfig(), &rng, cacheOnLevel()),
+          core(CoreConfig{}, &hier, &rng)
     {
-        hier.mapRange(CodeBase, 16 * PageSize,
-                      mem::PageFlags{.user = true, .writable = true,
-                                     .executable = true,
-                                     .device = false});
-        hier.mapRange(DataBase, 16 * PageSize,
-                      mem::PageFlags{.user = true, .writable = true,
-                                     .executable = false,
-                                     .device = false});
+        mapPages(hier);
     }
 
-    static CoreConfig
-    cacheOnConfig()
+    static void
+    mapPages(mem::MemoryHierarchy &h)
     {
-        CoreConfig cfg;
-        cfg.decodeCache = true;
-        return cfg;
+        h.mapRange(CodeBase, 16 * PageSize,
+                   mem::PageFlags{.user = true, .writable = true,
+                                  .executable = true, .device = false});
+        h.mapRange(DataBase, 16 * PageSize,
+                   mem::PageFlags{.user = true, .writable = true,
+                                  .executable = false, .device = false});
+    }
+
+    /** The default level, raised to Decode where it is lower. */
+    static FastPath
+    cacheOnLevel()
+    {
+        return std::max(defaultFastPath(), FastPath::Decode);
     }
 
     void
@@ -186,13 +191,13 @@ TEST_F(DecodeCacheCoreTest, HostWriteInvalidates)
 
     EXPECT_EQ(runFrom(SlotBase).kind, ExitKind::Halted);
     EXPECT_EQ(core.reg(X0), 1u);
-    const uint64_t misses1 = core.stats().icacheDecodeMisses;
+    const uint64_t misses1 = core.superblockStats().decodeMisses;
     EXPECT_GT(misses1, 0u);
 
     // Re-run: same code, all fetches served from the decode cache.
     EXPECT_EQ(runFrom(SlotBase).kind, ExitKind::Halted);
-    EXPECT_EQ(core.stats().icacheDecodeMisses, misses1);
-    EXPECT_GT(core.stats().icacheDecodeHits, 0u);
+    EXPECT_EQ(core.superblockStats().decodeMisses, misses1);
+    EXPECT_GT(core.superblockStats().decodeHits, 0u);
 
     // Host (functional) write to the code page: the page generation
     // moves, so the stale decode must not be served.
@@ -292,28 +297,33 @@ TEST_F(DecodeCacheCoreTest, UndefinedInstructionExit)
 
     // Second run is served by the negative-decode memo and must take
     // the identical exit.
-    const uint64_t hits1 = core.stats().icacheDecodeHits;
+    const uint64_t hits1 = core.superblockStats().decodeHits;
     const ExitStatus again = runFrom(SlotBase);
     EXPECT_EQ(again.kind, ExitKind::UndefinedInst);
     EXPECT_EQ(again.code, garbage);
-    EXPECT_GT(core.stats().icacheDecodeHits, hits1);
+    EXPECT_GT(core.superblockStats().decodeHits, hits1);
 }
 
 TEST_F(DecodeCacheCoreTest, DisabledCacheCountsNothing)
 {
-    CoreConfig cfg;
-    cfg.decodeCache = false;
-    Core slow(cfg, &hier, &rng);
+    mem::MemoryHierarchy ref_hier(mem::m1PCoreConfig(), &rng,
+                                  FastPath::Reference);
+    mapPages(ref_hier);
+    Core slow(CoreConfig{}, &ref_hier, &rng);
 
-    writeWords(SlotBase,
-               {wordOf([](Assembler &a) { a.movz(X0, 9); }),
-                wordOf([](Assembler &a) { a.hlt(0); })});
+    Addr addr = SlotBase;
+    for (const InstWord w :
+         {wordOf([](Assembler &a) { a.movz(X0, 9); }),
+          wordOf([](Assembler &a) { a.hlt(0); })}) {
+        ref_hier.writeVirt(addr, w, 4);
+        addr += InstBytes;
+    }
     slow.setPc(SlotBase);
     slow.setEl(0);
     EXPECT_EQ(slow.run(1'000'000).kind, ExitKind::Halted);
     EXPECT_EQ(slow.reg(X0), 9u);
-    EXPECT_EQ(slow.stats().icacheDecodeHits, 0u);
-    EXPECT_EQ(slow.stats().icacheDecodeMisses, 0u);
+    EXPECT_EQ(slow.superblockStats().decodeHits, 0u);
+    EXPECT_EQ(slow.superblockStats().decodeMisses, 0u);
 }
 
 } // namespace

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 
 #include "asm/assembler.hh"
@@ -237,8 +238,8 @@ constexpr Addr DataBase = 0x0000'6000'0000ull;
 struct Rig
 {
     explicit Rig(bool superblocks)
-        : rng(1), hier(mem::m1PCoreConfig(), &rng),
-          core(coreConfig(superblocks), &hier, &rng)
+        : rng(1), hier(mem::m1PCoreConfig(), &rng, level(superblocks)),
+          core(CoreConfig{}, &hier, &rng)
     {
         hier.mapRange(CodeBase, 16 * PageSize,
                       mem::PageFlags{.user = true, .writable = true,
@@ -250,13 +251,14 @@ struct Rig
                                      .device = false});
     }
 
-    static CoreConfig
-    coreConfig(bool superblocks)
+    /** Superblocks on: the default level, raised to Superblocks
+     *  where it is lower. Off: Decode. */
+    static FastPath
+    level(bool superblocks)
     {
-        CoreConfig cfg;
-        cfg.decodeCache = true;
-        cfg.superblocks = superblocks;
-        return cfg;
+        return superblocks
+                   ? std::max(defaultFastPath(), FastPath::Superblocks)
+                   : FastPath::Decode;
     }
 
     void

@@ -52,8 +52,10 @@ wordOf(Emit emit)
 struct TraceRig
 {
     explicit TraceRig(bool traces)
-        : rng(1), hier(mem::m1PCoreConfig(), &rng),
-          core(coreConfig(traces), &hier, &rng)
+        : rng(1),
+          hier(mem::m1PCoreConfig(), &rng,
+               traces ? FastPath::Traces : FastPath::Superblocks),
+          core(CoreConfig{}, &hier, &rng)
     {
         hier.mapRange(CodeBase, 16 * PageSize,
                       mem::PageFlags{.user = true, .writable = true,
@@ -63,16 +65,6 @@ struct TraceRig
                       mem::PageFlags{.user = true, .writable = true,
                                      .executable = false,
                                      .device = false});
-    }
-
-    static CoreConfig
-    coreConfig(bool traces)
-    {
-        CoreConfig cfg;
-        cfg.decodeCache = true;
-        cfg.superblocks = true;
-        cfg.timingTraces = traces;
-        return cfg;
     }
 
     void
@@ -354,17 +346,14 @@ TEST(TimingTrace, InjectNoiseAttributedBreaks)
     MachineConfig cfg = defaultMachineConfig();
     cfg.noiseProbability = 1.0;
     cfg.noisePages = 64;
-    // Force the fast path on for the fast machine so the attribution
-    // asserts hold even in the no-traces and reference builds (whose
-    // defines only flip the config defaults).
-    cfg.core.decodeCache = true;
-    cfg.core.superblocks = true;
-    cfg.core.timingTraces = true;
+    // Force traces on for the fast machine so the attribution
+    // asserts hold whatever PACMAN_FASTPATH says.
+    cfg.fastPath = FastPath::Traces;
 
     Machine fast(cfg);
     std::vector<uint64_t> fast_out = runOracleProbes(fast, 12);
 
-    cfg.core.timingTraces = false;
+    cfg.fastPath = FastPath::Superblocks;
     Machine ref(cfg);
     EXPECT_EQ(fast_out, runOracleProbes(ref, 12));
 
@@ -382,9 +371,7 @@ TEST(TimingTrace, FaultPlanFlushAttributedBreaks)
     MachineConfig cfg = defaultMachineConfig();
     FaultPlan plan;
     plan.contextSwitchRate = 1.0;
-    cfg.core.decodeCache = true;
-    cfg.core.superblocks = true;
-    cfg.core.timingTraces = true;
+    cfg.fastPath = FastPath::Traces;
 
     Machine fast(cfg);
     sim::FaultInjector fast_inj(fast, plan,
@@ -392,7 +379,7 @@ TEST(TimingTrace, FaultPlanFlushAttributedBreaks)
     fast_inj.attach();
     std::vector<uint64_t> fast_out = runOracleProbes(fast, 12);
 
-    cfg.core.timingTraces = false;
+    cfg.fastPath = FastPath::Superblocks;
     Machine ref(cfg);
     sim::FaultInjector ref_inj(ref, plan, Random::deriveSeed(99, 1));
     ref_inj.attach();

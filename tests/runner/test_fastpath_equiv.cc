@@ -2,7 +2,7 @@
  * @file
  * The fast-path equivalence contract: with the decode cache, the
  * PhysMem frame table, the PAC memo, the superblock engine, and the
- * timing-trace memoization enabled (the default build), every
+ * timing-trace memoization enabled (the default Traces level), every
  * observable architectural outcome is bit-identical to the slow
  * reference paths — oracle miss counts, cycle counts, every cache/TLB
  * hit/miss counter, and whole-campaign fingerprints at any job count,
@@ -17,8 +17,8 @@
 #include <vector>
 
 #include "attack/oracle.hh"
+#include "base/fastpath.hh"
 #include "base/stats.hh"
-#include "crypto/pac.hh"
 #include "kernel/layout.hh"
 #include "runner/campaign.hh"
 
@@ -32,33 +32,20 @@ using namespace pacman::kernel;
 using namespace pacman::runner;
 
 /**
- * The four equivalence rungs: 0 = slow reference (plain interpreter,
- * sparse PhysMem), 1 = decode cache + frame table, 2 = those plus the
- * superblock engine with timing traces off, 3 = the full default
- * build (superblocks + timing-trace memoization, DESIGN.md §4k).
- * Every rung must be bit-identical to every other.
+ * The four equivalence rungs, one per FastPath level: 0 = Reference
+ * (plain interpreter, sparse PhysMem, no PAC memo), 1 = Decode
+ * (decode cache + frame table + PAC memo), 2 = Superblocks (plus the
+ * superblock engine, timing traces off), 3 = Traces (the default:
+ * plus timing-trace memoization, DESIGN.md §4k). Every rung must be
+ * bit-identical to every other.
  */
 MachineConfig
 fastSlowConfig(int level)
 {
     MachineConfig cfg = defaultMachineConfig();
-    cfg.core.decodeCache = level >= 1;
-    cfg.hier.fastMem = level >= 1;
-    cfg.core.superblocks = level >= 2;
-    cfg.core.timingTraces = level >= 3;
+    cfg.fastPath = FastPath(level);
     return cfg;
 }
-
-/** RAII toggle for the thread-local PAC memo. */
-struct PacMemoScope
-{
-    explicit PacMemoScope(bool on) : prev(crypto::pacMemoEnabled())
-    {
-        crypto::setPacMemoEnabled(on);
-    }
-    ~PacMemoScope() { crypto::setPacMemoEnabled(prev); }
-    bool prev;
-};
 
 /**
  * Full architectural stats dump: every counter the simulation exposes
@@ -103,7 +90,6 @@ archDump(Machine &m)
 std::string
 runFig8Subset(int level, std::vector<unsigned> *counts)
 {
-    const PacMemoScope memo(level >= 1);
     Machine machine(fastSlowConfig(level));
     AttackerProcess proc(machine);
     OracleConfig ocfg;

@@ -16,8 +16,8 @@
 #include <vector>
 
 #include "attack/oracle.hh"
+#include "base/fastpath.hh"
 #include "base/stats.hh"
-#include "cpu/config.hh"
 #include "crypto/pac.hh"
 #include "isa/pointer.hh"
 #include "kernel/layout.hh"
@@ -120,9 +120,9 @@ TEST(Snapshot, SuperblockCacheSurvivesRestore)
     // regression this test exists to catch — it would put the
     // restore-per-item campaign path back to rebuilding every cached
     // block per work item.
-    if (!cpu::CoreConfig{}.superblocks)
-        GTEST_SKIP() << "superblocks off in this build "
-                        "(PACMAN_DISABLE_FASTPATH)";
+    if (defaultFastPath() < FastPath::Superblocks)
+        GTEST_SKIP() << "superblocks off at PACMAN_FASTPATH="
+                     << fastPathName(defaultFastPath());
     Stack stack;
     std::vector<unsigned> warm_counts;
     stack.runQueries(&warm_counts); // build the hot blocks pre-capture

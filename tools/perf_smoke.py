@@ -102,7 +102,7 @@ def distil(raw):
                     return value, aggs.get("cv")
         raise KeyError(f"benchmark '{name}' missing from output")
 
-    fast, fast_cv = need("BM_Fig8TrainingLoop/2")
+    fast, fast_cv = need("BM_Fig8TrainingLoop/3")
     decode_only, decode_cv = need("BM_Fig8TrainingLoop/1")
     slow, slow_cv = need("BM_Fig8TrainingLoop/0")
     oracle, oracle_cv = need("BM_OracleQuery")
