@@ -14,31 +14,6 @@ BimodalPredictor::BimodalPredictor(unsigned entries)
               entries);
 }
 
-uint64_t
-BimodalPredictor::indexOf(isa::Addr pc) const
-{
-    return (pc >> 2) & (counters_.size() - 1);
-}
-
-bool
-BimodalPredictor::predict(isa::Addr pc) const
-{
-    return counters_[indexOf(pc)] >= 2;
-}
-
-void
-BimodalPredictor::update(isa::Addr pc, bool taken)
-{
-    uint8_t &ctr = counters_[indexOf(pc)];
-    if (taken) {
-        if (ctr < 3)
-            ++ctr;
-    } else {
-        if (ctr > 0)
-            --ctr;
-    }
-}
-
 void
 BimodalPredictor::reset()
 {
@@ -51,30 +26,6 @@ Btb::Btb(unsigned entries)
 {
     if (!isPowerOf2(entries))
         fatal("btb: %u entries not a power of two", entries);
-}
-
-uint64_t
-Btb::indexOf(isa::Addr pc) const
-{
-    return (pc >> 2) & (entries_.size() - 1);
-}
-
-std::optional<isa::Addr>
-Btb::lookup(isa::Addr pc) const
-{
-    const Entry &entry = entries_[indexOf(pc)];
-    if (entry.valid && entry.tag == pc)
-        return entry.target;
-    return std::nullopt;
-}
-
-void
-Btb::update(isa::Addr pc, isa::Addr target)
-{
-    Entry &entry = entries_[indexOf(pc)];
-    entry.valid = true;
-    entry.tag = pc;
-    entry.target = target;
 }
 
 void

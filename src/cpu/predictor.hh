@@ -8,6 +8,9 @@
  * gadget body, and the BTB supplies the (stale) predicted target of
  * the gadget's indirect branch until the authenticated pointer
  * resolves.
+ *
+ * Both are consulted on every simulated branch, so their lookups and
+ * updates are defined in this header for the core to inline.
  */
 
 #ifndef PACMAN_CPU_PREDICTOR_HH
@@ -30,10 +33,20 @@ class BimodalPredictor
     explicit BimodalPredictor(unsigned entries);
 
     /** Predict taken/not-taken for the branch at @p pc. */
-    bool predict(isa::Addr pc) const;
+    bool predict(isa::Addr pc) const { return counters_[indexOf(pc)] >= 2; }
 
     /** Train with the resolved direction. */
-    void update(isa::Addr pc, bool taken);
+    void update(isa::Addr pc, bool taken)
+    {
+        uint8_t &ctr = counters_[indexOf(pc)];
+        if (taken) {
+            if (ctr < 3)
+                ++ctr;
+        } else {
+            if (ctr > 0)
+                --ctr;
+        }
+    }
 
     /** Reset all counters to weakly not-taken. */
     void reset();
@@ -45,7 +58,10 @@ class BimodalPredictor
     void restore(const Snapshot &snap) { counters_ = snap; }
 
   private:
-    uint64_t indexOf(isa::Addr pc) const;
+    uint64_t indexOf(isa::Addr pc) const
+    {
+        return (pc >> 2) & (counters_.size() - 1);
+    }
 
     std::vector<uint8_t> counters_;
 };
@@ -57,10 +73,22 @@ class Btb
     explicit Btb(unsigned entries);
 
     /** Predicted target for the indirect branch at @p pc, if any. */
-    std::optional<isa::Addr> lookup(isa::Addr pc) const;
+    std::optional<isa::Addr> lookup(isa::Addr pc) const
+    {
+        const Entry &entry = entries_[indexOf(pc)];
+        if (entry.valid && entry.tag == pc)
+            return entry.target;
+        return std::nullopt;
+    }
 
     /** Record the resolved target. */
-    void update(isa::Addr pc, isa::Addr target);
+    void update(isa::Addr pc, isa::Addr target)
+    {
+        Entry &entry = entries_[indexOf(pc)];
+        entry.valid = true;
+        entry.tag = pc;
+        entry.target = target;
+    }
 
     /** Invalidate all entries. */
     void reset();
@@ -80,7 +108,10 @@ class Btb
     void restore(const Snapshot &snap) { entries_ = snap; }
 
   private:
-    uint64_t indexOf(isa::Addr pc) const;
+    uint64_t indexOf(isa::Addr pc) const
+    {
+        return (pc >> 2) & (entries_.size() - 1);
+    }
 
     std::vector<Entry> entries_;
 };

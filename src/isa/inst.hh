@@ -17,6 +17,7 @@
 #include <optional>
 #include <string>
 
+#include "base/logging.hh"
 #include "crypto/pac.hh"
 #include "isa/registers.hh"
 #include "isa/sysreg.hh"
@@ -51,7 +52,28 @@ enum class Cond : uint8_t
 };
 
 /** Evaluate @p cond against PSTATE flags. */
-bool condHolds(Cond cond, const Pstate &flags);
+inline bool
+condHolds(Cond cond, const Pstate &f)
+{
+    switch (cond) {
+      case Cond::EQ: return f.z;
+      case Cond::NE: return !f.z;
+      case Cond::CS: return f.c;
+      case Cond::CC: return !f.c;
+      case Cond::MI: return f.n;
+      case Cond::PL: return !f.n;
+      case Cond::VS: return f.v;
+      case Cond::VC: return !f.v;
+      case Cond::HI: return f.c && !f.z;
+      case Cond::LS: return !f.c || f.z;
+      case Cond::GE: return f.n == f.v;
+      case Cond::LT: return f.n != f.v;
+      case Cond::GT: return !f.z && f.n == f.v;
+      case Cond::LE: return f.z || f.n != f.v;
+      case Cond::AL: return true;
+      default: panic("condHolds: bad condition %u", unsigned(cond));
+    }
+}
 
 /** Condition mnemonic suffix ("eq", "ne", ...). */
 std::string condName(Cond cond);
@@ -184,40 +206,260 @@ struct Inst
 /** Mnemonic for an opcode ("add", "autia", ...). */
 std::string opcodeName(Opcode op);
 
+// The opcode predicates below run several times per simulated
+// instruction (operand reads, retire classification, PAC key choice),
+// so they are defined here for the callers in cpu/ to inline; see
+// DESIGN.md §4e before moving any of them back out of line.
+
 /** Classification used by the CPU pipeline and gadget scanner. */
-InstClass instClass(Opcode op);
+inline InstClass
+instClass(Opcode op)
+{
+    switch (op) {
+      case Opcode::LDR:
+      case Opcode::LDRB:
+      case Opcode::LDRR:
+        return InstClass::Load;
+      case Opcode::STR:
+      case Opcode::STRB:
+      case Opcode::STRR:
+        return InstClass::Store;
+      case Opcode::B:
+      case Opcode::BL:
+        return InstClass::BranchDirect;
+      case Opcode::BCOND:
+      case Opcode::CBZ:
+      case Opcode::CBNZ:
+        return InstClass::BranchCond;
+      case Opcode::BR:
+      case Opcode::BLR:
+      case Opcode::RET:
+      case Opcode::BRAA:
+      case Opcode::BLRAA:
+      case Opcode::RETAA:
+        return InstClass::BranchIndirect;
+      case Opcode::PACIA:
+      case Opcode::PACIB:
+      case Opcode::PACDA:
+      case Opcode::PACDB:
+        return InstClass::PacSign;
+      case Opcode::AUTIA:
+      case Opcode::AUTIB:
+      case Opcode::AUTDA:
+      case Opcode::AUTDB:
+      case Opcode::XPAC:
+        return InstClass::PacAuth;
+      case Opcode::MRS:
+      case Opcode::MSR:
+      case Opcode::SVC:
+      case Opcode::ERET:
+      case Opcode::HLT:
+      case Opcode::BRK:
+        return InstClass::System;
+      case Opcode::ISB:
+      case Opcode::DSB:
+        return InstClass::Barrier;
+      default:
+        return InstClass::Alu;
+    }
+}
 
 /** True for any load or store. */
-bool isMemOp(Opcode op);
+inline bool
+isMemOp(Opcode op)
+{
+    const InstClass c = instClass(op);
+    return c == InstClass::Load || c == InstClass::Store;
+}
 
 /** True for any branch (direct, conditional, indirect). */
-bool isBranch(Opcode op);
+inline bool
+isBranch(Opcode op)
+{
+    const InstClass c = instClass(op);
+    return c == InstClass::BranchDirect || c == InstClass::BranchCond ||
+           c == InstClass::BranchIndirect;
+}
 
 /** True for BCOND / CBZ / CBNZ. */
-bool isCondBranch(Opcode op);
+inline bool
+isCondBranch(Opcode op)
+{
+    return instClass(op) == InstClass::BranchCond;
+}
 
 /** True for BR / BLR / RET and the authenticating variants. */
-bool isIndirectBranch(Opcode op);
+inline bool
+isIndirectBranch(Opcode op)
+{
+    return instClass(op) == InstClass::BranchIndirect;
+}
 
 /** True for BRAA / BLRAA / RETAA (authenticate-and-branch). */
-bool isAuthBranch(Opcode op);
+inline bool
+isAuthBranch(Opcode op)
+{
+    return op == Opcode::BRAA || op == Opcode::BLRAA ||
+           op == Opcode::RETAA;
+}
 
 /** True for the pac* signing family. */
-bool isPacSign(Opcode op);
+inline bool
+isPacSign(Opcode op)
+{
+    return instClass(op) == InstClass::PacSign;
+}
 
 /** True for the aut* family. */
-bool isPacAuth(Opcode op);
+inline bool
+isPacAuth(Opcode op)
+{
+    return instClass(op) == InstClass::PacAuth && op != Opcode::XPAC;
+}
 
 /** Key selector used by a keyed pac/aut opcode. */
-crypto::PacKeySelect pacKeyOf(Opcode op);
+inline crypto::PacKeySelect
+pacKeyOf(Opcode op)
+{
+    switch (op) {
+      case Opcode::PACIA:
+      case Opcode::AUTIA:
+        return crypto::PacKeySelect::IA;
+      case Opcode::PACIB:
+      case Opcode::AUTIB:
+        return crypto::PacKeySelect::IB;
+      case Opcode::PACDA:
+      case Opcode::AUTDA:
+        return crypto::PacKeySelect::DA;
+      case Opcode::PACDB:
+      case Opcode::AUTDB:
+        return crypto::PacKeySelect::DB;
+      case Opcode::BRAA:
+      case Opcode::BLRAA:
+      case Opcode::RETAA:
+        return crypto::PacKeySelect::IA;
+      default:
+        panic("pacKeyOf: %s is not a keyed PA opcode",
+              opcodeName(op).c_str());
+    }
+}
 
 /** True if the instruction writes its rd field. */
-bool writesRd(const Inst &inst);
+inline bool
+writesRd(const Inst &inst)
+{
+    switch (inst.op) {
+      case Opcode::CMP:
+      case Opcode::CMPI:
+      case Opcode::STR:
+      case Opcode::STRB:
+      case Opcode::STRR:
+      case Opcode::B:
+      case Opcode::BCOND:
+      case Opcode::CBZ:
+      case Opcode::CBNZ:
+      case Opcode::BR:
+      case Opcode::RET:
+      case Opcode::BRAA:
+      case Opcode::RETAA:
+      case Opcode::MSR:
+      case Opcode::SVC:
+      case Opcode::ERET:
+      case Opcode::ISB:
+      case Opcode::DSB:
+      case Opcode::NOP:
+      case Opcode::HLT:
+      case Opcode::BRK:
+        return false;
+      case Opcode::BL:
+      case Opcode::BLR:
+      case Opcode::BLRAA:
+        return true; // writes LR
+      default:
+        return true;
+    }
+}
 
-/** True if the instruction reads its rn / rm / rd(as source) field. */
-bool readsRn(const Inst &inst);
-bool readsRm(const Inst &inst);
-bool readsRdAsSource(const Inst &inst);
+/** True if the instruction reads its rn field. */
+inline bool
+readsRn(const Inst &inst)
+{
+    switch (inst.op) {
+      case Opcode::MOVZ:
+      case Opcode::MOVK:
+      case Opcode::B:
+      case Opcode::BL:
+      case Opcode::BCOND:
+      case Opcode::SVC:
+      case Opcode::ERET:
+      case Opcode::ISB:
+      case Opcode::DSB:
+      case Opcode::NOP:
+      case Opcode::HLT:
+      case Opcode::BRK:
+      case Opcode::MRS:
+      case Opcode::CBZ:   // tests rd field
+      case Opcode::CBNZ:
+      case Opcode::XPAC:  // operates on rd in place
+        return false;
+      default:
+        return true;
+    }
+}
+
+/** True if the instruction reads its rm field. */
+inline bool
+readsRm(const Inst &inst)
+{
+    switch (inst.op) {
+      case Opcode::ADD:
+      case Opcode::SUB:
+      case Opcode::AND:
+      case Opcode::ORR:
+      case Opcode::EOR:
+      case Opcode::LSLV:
+      case Opcode::LSRV:
+      case Opcode::ASRV:
+      case Opcode::MUL:
+      case Opcode::SUBS:
+      case Opcode::ADDS:
+      case Opcode::CMP:
+      case Opcode::LDRR:
+      case Opcode::STRR:
+      case Opcode::BRAA:
+      case Opcode::BLRAA:
+      case Opcode::RETAA:
+        return true;
+      default:
+        return false;
+    }
+}
+
+/** True if the instruction reads its rd field as a source. */
+inline bool
+readsRdAsSource(const Inst &inst)
+{
+    switch (inst.op) {
+      case Opcode::STR:
+      case Opcode::STRB:
+      case Opcode::STRR:  // store data register
+      case Opcode::MOVK:  // read-modify-write of halfword
+      case Opcode::CBZ:
+      case Opcode::CBNZ:  // tested register lives in the rd field
+      case Opcode::PACIA:
+      case Opcode::PACIB:
+      case Opcode::PACDA:
+      case Opcode::PACDB:
+      case Opcode::AUTIA:
+      case Opcode::AUTIB:
+      case Opcode::AUTDA:
+      case Opcode::AUTDB:
+      case Opcode::XPAC:  // pointer is modified in place
+        return true;
+      default:
+        return false;
+    }
+}
 
 } // namespace pacman::isa
 

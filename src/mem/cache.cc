@@ -24,47 +24,6 @@ Cache::Cache(const SetAssocConfig &cfg, ReplPolicy policy, Random *rng)
     setMask_ = cfg_.sets - 1;
 }
 
-uint64_t
-Cache::lineNumber(Addr pa) const
-{
-    return pa >> lineShift_;
-}
-
-uint64_t
-Cache::setIndex(Addr pa) const
-{
-    const uint64_t line = lineNumber(pa);
-    if (!cfg_.hashedIndex)
-        return line & setMask_;
-    return (line ^ (line >> setShift_) ^ (line >> (2 * setShift_))) &
-           setMask_;
-}
-
-uint64_t
-Cache::tagOf(uint64_t line_num) const
-{
-    return line_num >> setShift_;
-}
-
-Cache::Line *
-Cache::findLine(Addr pa)
-{
-    const uint64_t set = setIndex(pa);
-    const uint64_t tag = tagOf(lineNumber(pa));
-    Line *base = &lines_[set * cfg_.ways];
-    for (unsigned w = 0; w < cfg_.ways; ++w) {
-        if (base[w].valid && base[w].tag == tag)
-            return &base[w];
-    }
-    return nullptr;
-}
-
-const Cache::Line *
-Cache::findLine(Addr pa) const
-{
-    return const_cast<Cache *>(this)->findLine(pa);
-}
-
 Cache::Line &
 Cache::victimIn(uint64_t set)
 {
@@ -85,16 +44,8 @@ Cache::victimIn(uint64_t set)
 }
 
 Cache::Line *
-Cache::accessRef(Addr pa, bool *hit)
+Cache::fillMiss(Addr pa)
 {
-    ++tick_;
-    if (Line *line = findLine(pa)) {
-        journalTouch(line);
-        line->lruStamp = tick_;
-        ++hits_;
-        *hit = true;
-        return line;
-    }
     ++misses_;
     const uint64_t set = setIndex(pa);
     Line &victim = victimIn(set);
@@ -103,16 +54,7 @@ Cache::accessRef(Addr pa, bool *hit)
     victim.valid = true;
     victim.tag = tagOf(lineNumber(pa));
     victim.lruStamp = tick_;
-    *hit = false;
     return &victim;
-}
-
-bool
-Cache::access(Addr pa)
-{
-    bool hit;
-    accessRef(pa, &hit);
-    return hit;
 }
 
 bool

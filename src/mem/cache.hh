@@ -19,7 +19,14 @@
 namespace pacman::mem
 {
 
-/** A set-associative tag array with LRU or random replacement. */
+/**
+ * A set-associative tag array with LRU or random replacement.
+ *
+ * The hit path (address decomposition, findLine, access, accessRef,
+ * rehit) runs on every timed access and is defined in this header so
+ * MemoryHierarchy::access and the core inline it; the miss fill,
+ * flushes and snapshots stay in cache.cc.
+ */
 class Cache
 {
   public:
@@ -31,7 +38,12 @@ class Cache
      *
      * @return true on hit.
      */
-    bool access(Addr pa);
+    bool access(Addr pa)
+    {
+        bool hit = false;
+        accessRef(pa, &hit);
+        return hit;
+    }
 
     struct Line;
 
@@ -42,7 +54,19 @@ class Cache
      * can hold the line and replay later same-line fetches through
      * rehit() without repeating the tag scan.
      */
-    Line *accessRef(Addr pa, bool *hit);
+    Line *accessRef(Addr pa, bool *hit)
+    {
+        ++tick_;
+        if (Line *line = findLine(pa)) {
+            journalTouch(line);
+            line->lruStamp = tick_;
+            ++hits_;
+            *hit = true;
+            return line;
+        }
+        *hit = false;
+        return fillMiss(pa);
+    }
 
     /**
      * Replay a hit on @p line with exactly the bookkeeping sequence of
@@ -98,7 +122,14 @@ class Cache
     void flushAll();
 
     /** Set index the line containing @p pa maps to. */
-    uint64_t setIndex(Addr pa) const;
+    uint64_t setIndex(Addr pa) const
+    {
+        const uint64_t line = lineNumber(pa);
+        if (!cfg_.hashedIndex)
+            return line & setMask_;
+        return (line ^ (line >> setShift_) ^
+                (line >> (2 * setShift_))) & setMask_;
+    }
 
     const SetAssocConfig &config() const { return cfg_; }
     uint64_t hits() const { return hits_; }
@@ -155,10 +186,29 @@ class Cache
     void restore(const Snapshot &snap);
 
   private:
-    uint64_t lineNumber(Addr pa) const;
-    uint64_t tagOf(uint64_t line_num) const;
-    Line *findLine(Addr pa);
-    const Line *findLine(Addr pa) const;
+    uint64_t lineNumber(Addr pa) const { return pa >> lineShift_; }
+    uint64_t tagOf(uint64_t line_num) const { return line_num >> setShift_; }
+
+    Line *findLine(Addr pa)
+    {
+        const uint64_t tag = tagOf(lineNumber(pa));
+        Line *base = &lines_[setIndex(pa) * cfg_.ways];
+        for (unsigned w = 0; w < cfg_.ways; ++w) {
+            if (base[w].valid && base[w].tag == tag)
+                return &base[w];
+        }
+        return nullptr;
+    }
+
+    const Line *findLine(Addr pa) const
+    {
+        return const_cast<Cache *>(this)->findLine(pa);
+    }
+
+    /** accessRef()'s miss path after the tag scan: count the miss,
+     *  allocate the victim for @p pa and return it. */
+    Line *fillMiss(Addr pa);
+
     Line &victimIn(uint64_t set);
 
     /** Record @p line as dirtied since the last takeSnapshot(). */

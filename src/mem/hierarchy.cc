@@ -47,58 +47,13 @@ MemoryHierarchy::mapDevice(Addr va, Device *device)
     pt_.mapTo(va, (DevicePhysBase >> isa::PageShift) + index, flags);
 }
 
-Fault
-MemoryHierarchy::checkPerms(AccessKind kind, const PageFlags &flags,
-                            unsigned el) const
-{
-    if (el == 0 && !flags.user)
-        return Fault::Permission;
-    if (kind == AccessKind::Store && !flags.writable)
-        return Fault::Permission;
-    if (kind == AccessKind::Fetch && !flags.executable)
-        return Fault::Permission;
-    return Fault::None;
-}
-
 AccessResult
-MemoryHierarchy::translateTimed(AccessKind kind, Addr va, unsigned el,
-                                bool speculative, AccessTrace *trace)
+MemoryHierarchy::translateMiss(AccessKind kind, Addr va, uint64_t vpn,
+                               Asid asid, unsigned el, bool speculative,
+                               AccessTrace *trace)
 {
     AccessResult res;
-
-    // Non-canonical pointers (e.g. an aut-poisoned pointer) fail
-    // before any structure is consulted: nothing is allocated, no
-    // side effect is left. This is the "speculative exception" arm of
-    // the PACMAN gadget timeline.
-    if (!isa::isCanonical(va)) {
-        res.fault = Fault::Translation;
-        res.latency = 1;
-        return res;
-    }
-
-    const uint64_t vpn = isa::pageNumber(isa::vaPart(va));
-    const Asid asid = isa::isKernelVa(va) ? Asid::Kernel : Asid::User;
     const bool fill_ok = !(cfg_.delayOnMiss && speculative);
-
-    // L1 TLB lookup: iTLB (per-EL) for fetches, shared dTLB for data.
-    Tlb &l1 = kind == AccessKind::Fetch ? itlb(el) : dtlb_;
-    if (auto entry = l1.lookup(vpn, asid)) {
-        const Fault perm = checkPerms(kind, PageFlags{
-            .user = asid == Asid::User,
-            .writable = entry->writable,
-            .executable = entry->executable,
-            .device = false}, el);
-        if (perm != Fault::None) {
-            res.fault = perm;
-            res.latency = 1;
-            return res;
-        }
-        if (trace)
-            trace->l1TlbHit = true;
-        res.pa = (entry->ppn << isa::PageShift) |
-                 isa::pageOffset(isa::vaPart(va));
-        return res;
-    }
 
     // Fetch misses probe the dTLB next: Section 7.3 finds the dTLB
     // acting as a non-inclusive backing store for the iTLBs. The
@@ -194,16 +149,8 @@ MemoryHierarchy::translateTimed(AccessKind kind, Addr va, unsigned el,
 }
 
 uint64_t
-MemoryHierarchy::cacheAccess(AccessKind kind, Addr pa, bool speculative,
-                             AccessTrace *trace)
+MemoryHierarchy::lowerCacheAccess(Addr pa, AccessTrace *trace)
 {
-    (void)speculative; // cache fills are never gated in this model
-    Cache &l1 = kind == AccessKind::Fetch ? l1i_ : l1d_;
-    if (l1.access(pa)) {
-        if (trace)
-            trace->l1CacheHit = true;
-        return cfg_.lat.l1Hit;
-    }
     if (l2_.access(pa)) {
         if (trace)
             trace->l2CacheHit = true;
@@ -224,22 +171,7 @@ MemoryHierarchy::fetchLineAccess(Addr pa, Cache::Line **line)
     *line = l1i_.accessRef(pa, &hit);
     if (hit)
         return cfg_.lat.l1Hit;
-    if (l2_.access(pa))
-        return cfg_.lat.l2Hit;
-    if (slc_.access(pa))
-        return cfg_.lat.slcHit;
-    return cfg_.lat.dram;
-}
-
-AccessResult
-MemoryHierarchy::access(AccessKind kind, Addr va, unsigned el,
-                        bool speculative, AccessTrace *trace)
-{
-    AccessResult res = translateTimed(kind, va, el, speculative, trace);
-    if (res.fault != Fault::None || res.isDevice)
-        return res;
-    res.latency += cacheAccess(kind, res.pa, speculative, trace);
-    return res;
+    return lowerCacheAccess(pa, nullptr);
 }
 
 uint64_t

@@ -126,6 +126,11 @@ class MemoryHierarchy
      *                    flow; consulted by the delay-on-miss
      *                    mitigation and by fault bookkeeping.
      * @param trace       Optional out-param with the hit/miss path.
+     *
+     * The L1-TLB-hit plus L1-cache-hit path is defined in this header
+     * (it is most of every simulated instruction's memory work); the
+     * rest continues out of line in translateMiss() and
+     * lowerCacheAccess().
      */
     AccessResult access(AccessKind kind, Addr va, unsigned el,
                         bool speculative, AccessTrace *trace = nullptr);
@@ -252,17 +257,32 @@ class MemoryHierarchy
     PhysMem::RestoreStats restore(const Snapshot &snap);
 
   private:
-    /** Translation step shared by data and fetch paths. */
-    AccessResult translateTimed(AccessKind kind, Addr va, unsigned el,
-                                bool speculative, AccessTrace *trace);
+    /**
+     * access()'s translation after an L1 TLB miss on (@p vpn,
+     * @p asid): the iTLB-to-dTLB spill probe, the L2 TLB, the page
+     * walk (device pages included) and the TLB fills.
+     */
+    AccessResult translateMiss(AccessKind kind, Addr va, uint64_t vpn,
+                               Asid asid, unsigned el, bool speculative,
+                               AccessTrace *trace);
 
-    /** Cache-lookup step; returns added latency. */
-    uint64_t cacheAccess(AccessKind kind, Addr pa, bool speculative,
-                         AccessTrace *trace);
+    /** Cache lookup below an L1 miss on @p pa (L2, SLC, then DRAM);
+     *  returns the latency. Cache fills are never gated in this
+     *  model. */
+    uint64_t lowerCacheAccess(Addr pa, AccessTrace *trace);
 
     /** Permission check against a mapping. */
     Fault checkPerms(AccessKind kind, const PageFlags &flags,
-                     unsigned el) const;
+                     unsigned el) const
+    {
+        if (el == 0 && !flags.user)
+            return Fault::Permission;
+        if (kind == AccessKind::Store && !flags.writable)
+            return Fault::Permission;
+        if (kind == AccessKind::Fetch && !flags.executable)
+            return Fault::Permission;
+        return Fault::None;
+    }
 
     HierarchyConfig cfg_;
     const FastPath fastPath_;
@@ -285,6 +305,59 @@ class MemoryHierarchy
     uint64_t disturbNoise_ = 0;              //!< injectNoise firings
     uint64_t disturbFlush_ = 0;              //!< fault-injector flushes
 };
+
+inline AccessResult
+MemoryHierarchy::access(AccessKind kind, Addr va, unsigned el,
+                        bool speculative, AccessTrace *trace)
+{
+    AccessResult res;
+
+    // Non-canonical pointers (e.g. an aut-poisoned pointer) fail
+    // before any structure is consulted: nothing is allocated, no
+    // side effect is left. This is the "speculative exception" arm of
+    // the PACMAN gadget timeline.
+    if (!isa::isCanonical(va)) {
+        res.fault = Fault::Translation;
+        res.latency = 1;
+        return res;
+    }
+
+    const uint64_t vpn = isa::pageNumber(isa::vaPart(va));
+    const Asid asid = isa::isKernelVa(va) ? Asid::Kernel : Asid::User;
+
+    // L1 TLB lookup: iTLB (per-EL) for fetches, shared dTLB for data.
+    Tlb &l1_tlb = kind == AccessKind::Fetch ? itlb(el) : dtlb_;
+    if (auto entry = l1_tlb.lookup(vpn, asid)) {
+        const Fault perm = checkPerms(kind, PageFlags{
+            .user = asid == Asid::User,
+            .writable = entry->writable,
+            .executable = entry->executable,
+            .device = false}, el);
+        if (perm != Fault::None) {
+            res.fault = perm;
+            res.latency = 1;
+            return res;
+        }
+        if (trace)
+            trace->l1TlbHit = true;
+        res.pa = (entry->ppn << isa::PageShift) |
+                 isa::pageOffset(isa::vaPart(va));
+    } else {
+        res = translateMiss(kind, va, vpn, asid, el, speculative, trace);
+        if (res.fault != Fault::None || res.isDevice)
+            return res;
+    }
+
+    Cache &l1_cache = kind == AccessKind::Fetch ? l1i_ : l1d_;
+    if (l1_cache.access(res.pa)) {
+        if (trace)
+            trace->l1CacheHit = true;
+        res.latency += cfg_.lat.l1Hit;
+        return res;
+    }
+    res.latency += lowerCacheAccess(res.pa, trace);
+    return res;
+}
 
 } // namespace pacman::mem
 

@@ -18,31 +18,6 @@ Tlb::Tlb(const SetAssocConfig &cfg, ReplPolicy policy, Random *rng)
               cfg.name.c_str());
 }
 
-uint64_t
-Tlb::setIndex(uint64_t vpn) const
-{
-    return vpn & (cfg_.sets - 1);
-}
-
-Tlb::Way *
-Tlb::find(uint64_t vpn, Asid asid)
-{
-    Way *base = &ways_[setIndex(vpn) * cfg_.ways];
-    for (unsigned w = 0; w < cfg_.ways; ++w) {
-        if (base[w].valid && base[w].entry.vpn == vpn &&
-            base[w].entry.asid == asid) {
-            return &base[w];
-        }
-    }
-    return nullptr;
-}
-
-const Tlb::Way *
-Tlb::find(uint64_t vpn, Asid asid) const
-{
-    return const_cast<Tlb *>(this)->find(vpn, asid);
-}
-
 Tlb::Way &
 Tlb::victimIn(uint64_t set)
 {
@@ -59,20 +34,6 @@ Tlb::victimIn(uint64_t set)
             victim = &base[w];
     }
     return *victim;
-}
-
-std::optional<TlbEntry>
-Tlb::lookup(uint64_t vpn, Asid asid)
-{
-    ++tick_;
-    if (Way *way = find(vpn, asid)) {
-        journalTouch(way);
-        way->lruStamp = tick_;
-        ++hits_;
-        return way->entry;
-    }
-    ++misses_;
-    return std::nullopt;
 }
 
 bool

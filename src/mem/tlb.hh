@@ -39,7 +39,13 @@ struct TlbEntry
     bool executable = false;
 };
 
-/** One TLB structure (an L1 iTLB, the L1 dTLB, or the L2 TLB). */
+/**
+ * One TLB structure (an L1 iTLB, the L1 dTLB, or the L2 TLB).
+ *
+ * The lookup path (setIndex, find, lookup, rehit) runs on every timed
+ * access and is defined in this header so MemoryHierarchy::access and
+ * the core inline it; fills, flushes and snapshots stay in tlb.cc.
+ */
 class Tlb
 {
   public:
@@ -49,7 +55,18 @@ class Tlb
      * Look up a translation; refreshes LRU state on hit.
      * @return the entry, or nullopt on miss.
      */
-    std::optional<TlbEntry> lookup(uint64_t vpn, Asid asid);
+    std::optional<TlbEntry> lookup(uint64_t vpn, Asid asid)
+    {
+        ++tick_;
+        if (Way *way = find(vpn, asid)) {
+            journalTouch(way);
+            way->lruStamp = tick_;
+            ++hits_;
+            return way->entry;
+        }
+        ++misses_;
+        return std::nullopt;
+    }
 
     /** Probe without touching LRU state (test/verification use). */
     bool contains(uint64_t vpn, Asid asid) const;
@@ -124,7 +141,7 @@ class Tlb
     unsigned flushSetAsid(uint64_t set, Asid asid);
 
     /** Set index for @p vpn. */
-    uint64_t setIndex(uint64_t vpn) const;
+    uint64_t setIndex(uint64_t vpn) const { return vpn & (cfg_.sets - 1); }
 
     const SetAssocConfig &config() const { return cfg_; }
     uint64_t hits() const { return hits_; }
@@ -177,8 +194,23 @@ class Tlb
     void restore(const Snapshot &snap);
 
   private:
-    Way *find(uint64_t vpn, Asid asid);
-    const Way *find(uint64_t vpn, Asid asid) const;
+    Way *find(uint64_t vpn, Asid asid)
+    {
+        Way *base = &ways_[setIndex(vpn) * cfg_.ways];
+        for (unsigned w = 0; w < cfg_.ways; ++w) {
+            if (base[w].valid && base[w].entry.vpn == vpn &&
+                base[w].entry.asid == asid) {
+                return &base[w];
+            }
+        }
+        return nullptr;
+    }
+
+    const Way *find(uint64_t vpn, Asid asid) const
+    {
+        return const_cast<Tlb *>(this)->find(vpn, asid);
+    }
+
     Way &victimIn(uint64_t set);
 
     /** Record @p way as dirtied since the last takeSnapshot(). */

@@ -12,7 +12,9 @@ rate and guard-break count; DESIGN.md §4k), oracle queries per
 second, the wall clock of a Figure-8 subset extrapolated to the
 paper's 20000-trial campaign, and the replica checkpointing numbers
 (full provision cost, per-item restore cost, and the snapshot-vs-
-fresh accuracy-campaign speedup) — in a direction-annotated schema
+fresh accuracy-campaign speedup), plus two layer rows (the host cost
+of one MemoryHierarchy load and of one QARMA-64 encryption, the PAC
+memo's miss cost) — in a direction-annotated schema
 that tools/perf_compare.py can diff across commits. Metrics new in
 this baseline simply show as "added" against older baselines; the
 compare gate only fires on shared metrics.
@@ -112,6 +114,8 @@ def distil(raw):
     restore, restore_cv = need("BM_SnapshotRestore")
     acc_snap, acc_snap_cv = need("BM_AccuracyCampaign/1")
     acc_fresh, acc_fresh_cv = need("BM_AccuracyCampaign/0")
+    hier_load, hier_load_cv = need("BM_HierarchyLoad")
+    qarma, qarma_cv = need("BM_QarmaEncrypt")
 
     def metric(value, better, cv_entry, cv_field):
         m = {"value": value, "better": better}
@@ -219,6 +223,19 @@ def distil(raw):
                              acc_snap["time_unit"])),
         "better": "higher",
     }
+
+    # Layer rows: host nanoseconds per call of the two layers the
+    # end-to-end rows cannot separate — one timed guest load through
+    # MemoryHierarchy::access (64 pages round-robin: L1 dTLB hits, but
+    # the page-aligned lines overflow their two L1D sets and hit in
+    # the L2) and one QARMA-64 encryption, which is what a PAC memo
+    # miss costs.
+    metrics["layer_hierarchy_load_ns"] = metric(
+        to_seconds(hier_load["real_time"], hier_load["time_unit"]) * 1e9,
+        "lower", hier_load_cv, "real_time")
+    metrics["layer_qarma_encrypt_ns"] = metric(
+        to_seconds(qarma["real_time"], qarma["time_unit"]) * 1e9,
+        "lower", qarma_cv, "real_time")
     return metrics
 
 
