@@ -37,7 +37,7 @@
  *     resuming against a restarted survivor — with the dead endpoint
  *     still listed — must reproduce the fingerprint.
  *  7. chaos proxy — one endpoint is routed through a
- *     seed-deterministic fault-injecting relay (runner/chaos_proxy.hh:
+ *     seed-deterministic fault-injecting relay (bench/chaos_proxy.hh:
  *     frame corruption under the original CRC, truncation, mid-chunk
  *     disconnects, deadline-busting delays, duplicate frames) with a
  *     healthy direct endpoint beside it; the pool must absorb every
@@ -79,7 +79,7 @@
 
 #include "kernel/layout.hh"
 #include "runner/campaign.hh"
-#include "runner/chaos_proxy.hh"
+#include "chaos_proxy.hh"
 #include "runner/client.hh"
 #include "runner/dispatch.hh"
 #include "runner/server.hh"
@@ -532,7 +532,7 @@ serverKillScenario(const Options &opt, ScenarioTally &tally)
     tally.check(waitForServer(endpoint), "armed server never came up");
     bool aborted = false;
     try {
-        runBruteForceCampaignRemote(cfg, endpoint);
+        runBruteForceCampaignRemote(cfg, DispatchConfig{{endpoint}});
     } catch (const CampaignAborted &) {
         aborted = true;
     }
@@ -550,7 +550,7 @@ serverKillScenario(const Options &opt, ScenarioTally &tally)
     cfg.supervision.resume = true;
     const auto t0 = std::chrono::steady_clock::now();
     const BruteForceCampaignResult res =
-        runBruteForceCampaignRemote(cfg, endpoint);
+        runBruteForceCampaignRemote(cfg, DispatchConfig{{endpoint}});
     const auto t1 = std::chrono::steady_clock::now();
     const bool identical = res.fingerprint() == ref_fp;
     tally.check(identical, "server kill/resume fingerprint diverged");

@@ -46,6 +46,7 @@
 #include "kernel/layout.hh"
 #include "runner/campaign.hh"
 #include "runner/client.hh"
+#include "runner/dispatch.hh"
 #include "runner/server.hh"
 
 using namespace pacman;
@@ -229,7 +230,7 @@ bruteForceEquivalence(const Options &opt, const std::string &endpoint)
             cfg.pool.jobs = jobs;
             const auto r0 = std::chrono::steady_clock::now();
             const BruteForceCampaignResult remote =
-                runBruteForceCampaignRemote(cfg, endpoint);
+                runBruteForceCampaignRemote(cfg, DispatchConfig{{endpoint}});
             const auto r1 = std::chrono::steady_clock::now();
             const bool identical = remote.fingerprint() == local_fp;
             check(identical,
@@ -273,7 +274,7 @@ accuracyEquivalence(const Options &opt, const std::string &endpoint)
         cfg.pool.jobs = jobs;
         const auto r0 = std::chrono::steady_clock::now();
         const AccuracyCampaignResult remote =
-            runAccuracyCampaignRemote(cfg, endpoint);
+            runAccuracyCampaignRemote(cfg, DispatchConfig{{endpoint}});
         const auto r1 = std::chrono::steady_clock::now();
         const bool identical = remote.fingerprint() == local_fp;
         check(identical, "remote accuracy fingerprint diverged");

@@ -113,46 +113,6 @@ struct RecoveryStats
 };
 
 /**
- * Remote-dispatch counters: how many chunks travelled, how often the
- * dispatcher had to fail over to another endpoint, and why. Purely
- * operational — which endpoint served a chunk is a wall-clock
- * accident, so none of these are ever part of a campaign fingerprint
- * (the chunk payloads themselves are endpoint-independent).
- */
-struct DispatchStats
-{
-    uint64_t dispatched = 0;    //!< chunks served successfully
-    uint64_t retries = 0;       //!< redispatch attempts after failure
-    uint64_t failovers = 0;     //!< chunks completed on a non-first endpoint
-    uint64_t timeouts = 0;      //!< attempts abandoned by the host deadline
-    uint64_t wireErrors = 0;    //!< torn/corrupt connections
-    uint64_t busyExhaustions = 0; //!< BUSY backoff budgets spent
-    uint64_t breakerOpens = 0;  //!< circuit breakers tripped open
-    uint64_t probes = 0;        //!< half-open PING probes sent
-    uint64_t probeFailures = 0; //!< probes that kept a breaker open
-
-    uint64_t
-    faults() const
-    {
-        return timeouts + wireErrors + busyExhaustions;
-    }
-
-    void
-    merge(const DispatchStats &other)
-    {
-        dispatched += other.dispatched;
-        retries += other.retries;
-        failovers += other.failovers;
-        timeouts += other.timeouts;
-        wireErrors += other.wireErrors;
-        busyExhaustions += other.busyExhaustions;
-        breakerOpens += other.breakerOpens;
-        probes += other.probes;
-        probeFailures += other.probeFailures;
-    }
-};
-
-/**
  * Everything needed to re-run a quarantined work item standalone,
  * away from its campaign: the campaign identity and seeds, the item
  * range the failing chunk covered, and the classified failure. The

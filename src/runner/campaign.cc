@@ -7,6 +7,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -21,18 +22,6 @@ namespace
 {
 
 using Clock = std::chrono::steady_clock;
-
-/** The per-pool-worker supervised-worker slot. */
-Worker &
-prepareWorker(std::vector<std::unique_ptr<Worker>> &slots,
-              unsigned worker, const ReplicaConfig &cfg,
-              const SupervisionConfig &sup)
-{
-    std::unique_ptr<Worker> &slot = slots[worker];
-    if (!slot)
-        slot = std::make_unique<Worker>(cfg, sup);
-    return *slot;
-}
 
 std::string
 statFingerprint(const SampleStat &s)
@@ -79,14 +68,6 @@ quarantineFingerprint(const std::vector<QuarantineRecord> &records)
 }
 
 // --- Campaign journal wiring ---------------------------------------
-
-std::string
-chunkKey(uint64_t campaign_seed, uint64_t chunk_index)
-{
-    return strprintf("chunk/%016llx/%llu",
-                     (unsigned long long)campaign_seed,
-                     (unsigned long long)chunk_index);
-}
 
 /** The journal plus the resume map its replay produced. */
 struct CampaignJournal
@@ -139,7 +120,9 @@ struct CampaignJournal
            const std::string &payload)
     {
         if (journal.isOpen())
-            journal.append(chunkKey(campaign_seed, chunk_index),
+            journal.append(strprintf("chunk/%016llx/%llu",
+                                     (unsigned long long)campaign_seed,
+                                     (unsigned long long)chunk_index),
                            payload);
     }
 };
@@ -171,7 +154,7 @@ writeQuarantineFile(const SupervisionConfig &sup,
  */
 struct AbortFlag
 {
-    std::atomic<bool> aborted{false};
+    std::atomic<bool> tripped{false};
     std::mutex mu;
     std::string why;
 
@@ -179,38 +162,10 @@ struct AbortFlag
     trip(const std::string &reason)
     {
         std::lock_guard<std::mutex> lock(mu);
-        if (!aborted.exchange(true, std::memory_order_release))
+        if (!tripped.exchange(true))
             why = reason;
     }
-
-    bool
-    tripped() const
-    {
-        return aborted.load(std::memory_order_acquire);
-    }
-
-    void
-    rethrow()
-    {
-        if (tripped())
-            throw CampaignAborted(why);
-    }
 };
-
-/** Run @p dispatch for one chunk, tripping @p abort on failure.
- *  Returns the decoded-validated payload or nullopt on abort. */
-std::optional<std::string>
-dispatchChunk(const ChunkDispatcher &dispatch, unsigned worker,
-              const Chunk &chunk, AbortFlag &abort)
-{
-    try {
-        return dispatch(worker, chunk);
-    } catch (const std::exception &e) {
-        abort.trip(strprintf("chunk %llu dispatch failed: %s",
-                             (unsigned long long)chunk.index, e.what()));
-        return std::nullopt;
-    }
-}
 
 } // anonymous namespace
 
@@ -231,108 +186,6 @@ BruteForceCampaignResult::fingerprint() const
         quarantineFingerprint(quarantined).c_str());
 }
 
-BruteForceCampaignResult
-runBruteForceCampaignWith(const BruteForceCampaignConfig &cfg,
-                          const ChunkDispatcher &dispatch)
-{
-    PACMAN_ASSERT(cfg.first <= cfg.last,
-                  "brute-force campaign range is empty");
-    const uint64_t num_items = uint64_t(cfg.last) - cfg.first + 1;
-    const uint64_t num_chunks = chunkCount(num_items, cfg.pool.chunkSize);
-
-    std::vector<BfChunkResult> results(num_chunks);
-    std::atomic<uint64_t> resumed{0};
-    AbortFlag abort;
-
-    CampaignJournal journal;
-    journal.open(cfg.supervision, cfg.seed,
-                 strprintf("campaign=bruteforce seed=%016llx first=%u "
-                           "last=%u chunk_size=%llu",
-                           (unsigned long long)cfg.seed, cfg.first,
-                           cfg.last,
-                           (unsigned long long)cfg.pool.chunkSize));
-
-    const auto t0 = Clock::now();
-    const PoolOutcome outcome = runChunked(
-        cfg.pool, num_items,
-        [&](unsigned worker, const Chunk &chunk)
-            -> std::optional<uint64_t> {
-            if (abort.tripped())
-                return std::nullopt;
-            BfChunkResult &r = results[chunk.index];
-
-            // Resume: a journaled chunk short-circuits — the stored
-            // result is bit-exact, so the merge cannot tell.
-            auto it = journal.resumable.find(chunk.index);
-            if (it != journal.resumable.end() &&
-                decodeBfChunk(it->second, r)) {
-                resumed.fetch_add(1, std::memory_order_relaxed);
-                if (r.stats.found)
-                    return uint64_t(*r.stats.found) - cfg.first;
-                return std::nullopt;
-            }
-
-            const std::optional<std::string> payload =
-                dispatchChunk(dispatch, worker, chunk, abort);
-            if (!payload)
-                return std::nullopt;
-            if (!decodeBfChunk(*payload, r)) {
-                abort.trip(strprintf(
-                    "chunk %llu: undecodable result payload",
-                    (unsigned long long)chunk.index));
-                return std::nullopt;
-            }
-            journal.record(cfg.seed, chunk.index, *payload);
-            if (r.stats.found)
-                return uint64_t(*r.stats.found) - cfg.first;
-            return std::nullopt;
-        });
-    const auto t1 = Clock::now();
-    abort.rethrow();
-
-    // Merge in chunk order, up to and including the chunk holding the
-    // lowest hit — exactly the candidates a serial sweep would have
-    // tested before stopping.
-    BruteForceCampaignResult result;
-    result.jobs = effectiveJobs(cfg.pool.jobs);
-    result.chunksRun = outcome.chunksRun;
-    result.chunksSkipped = outcome.chunksSkipped;
-    result.chunksResumed = resumed.load();
-    result.wallSeconds =
-        std::chrono::duration<double>(t1 - t0).count();
-    for (uint64_t c = 0; c < num_chunks; ++c) {
-        if (outcome.firstHit && c * cfg.pool.chunkSize > *outcome.firstHit)
-            break;
-        result.stats.merge(results[c].stats);
-        result.decisionMisses.merge(results[c].decisions);
-        result.oracleStats.merge(results[c].oracle);
-        result.faultStats.merge(results[c].faults);
-        if (results[c].quarantine)
-            result.quarantined.push_back(*results[c].quarantine);
-        ++result.chunksMerged;
-    }
-    writeQuarantineFile(cfg.supervision, result.quarantined);
-    return result;
-}
-
-BruteForceCampaignResult
-runBruteForceCampaign(const BruteForceCampaignConfig &cfg)
-{
-    std::vector<std::unique_ptr<Worker>> workers(
-        effectiveJobs(cfg.pool.jobs));
-    BruteForceCampaignResult result = runBruteForceCampaignWith(
-        cfg, [&](unsigned worker, const Chunk &chunk) {
-            Worker &w = prepareWorker(workers, worker, cfg.replica,
-                                      cfg.supervision);
-            return executeBfChunk(w, cfg, chunk);
-        });
-    for (const std::unique_ptr<Worker> &w : workers) {
-        if (w)
-            result.recovery.merge(w->recovery());
-    }
-    return result;
-}
-
 std::string
 AccuracyCampaignResult::fingerprint() const
 {
@@ -350,105 +203,111 @@ AccuracyCampaignResult::fingerprint() const
         quarantineFingerprint(quarantined).c_str());
 }
 
-AccuracyCampaignResult
-runAccuracyCampaignWith(const AccuracyCampaignConfig &cfg,
-                        const ChunkDispatcher &dispatch)
+// --- The shared driver and runners ---------------------------------
+
+template <class Config>
+typename CampaignKind<Config>::Result
+runCampaignWith(const Config &cfg, const ChunkDispatcher &dispatch)
 {
-    std::vector<TrialResult> results(cfg.trials);
+    using Kind = CampaignKind<Config>;
+    const uint64_t num_items = Kind::items(cfg);
+    std::vector<typename Kind::ChunkResult> chunks(
+        chunkCount(num_items, cfg.pool.chunkSize));
     std::atomic<uint64_t> resumed{0};
     AbortFlag abort;
 
     CampaignJournal journal;
-    journal.open(cfg.supervision, cfg.seed,
-                 strprintf("campaign=accuracy seed=%016llx trials=%llu "
-                           "window=%u chunk_size=%llu",
-                           (unsigned long long)cfg.seed,
-                           (unsigned long long)cfg.trials, cfg.window,
-                           (unsigned long long)cfg.pool.chunkSize));
+    journal.open(cfg.supervision, cfg.seed, Kind::meta(cfg));
+
+    // A payload is outside bytes (a server reply or the journal): it
+    // must decode, and a hit it names must be an item of its chunk.
+    auto accept = [&](const std::string &payload,
+                      typename Kind::ChunkResult &r, const Chunk &chunk) {
+        if (!Kind::decode(payload, r, chunk))
+            return false;
+        const std::optional<uint64_t> hit = Kind::hit(cfg, r);
+        return !hit || (*hit >= chunk.firstItem && *hit <= chunk.lastItem);
+    };
 
     const auto t0 = Clock::now();
-    runChunked(
-        cfg.pool, cfg.trials,
+    const PoolOutcome outcome = runChunked(
+        cfg.pool, num_items,
         [&](unsigned worker, const Chunk &chunk)
             -> std::optional<uint64_t> {
-            if (abort.tripped())
+            if (abort.tripped)
                 return std::nullopt;
-            std::vector<TrialResult> local(chunk.lastItem -
-                                           chunk.firstItem + 1);
+            typename Kind::ChunkResult &r = chunks[chunk.index];
 
+            // Resume: a journaled chunk short-circuits — the stored
+            // result is bit-exact, so the merge cannot tell.
             auto it = journal.resumable.find(chunk.index);
             if (it != journal.resumable.end() &&
-                decodeTrialChunk(it->second, local, chunk)) {
+                accept(it->second, r, chunk)) {
                 resumed.fetch_add(1, std::memory_order_relaxed);
-            } else {
-                const std::optional<std::string> payload =
-                    dispatchChunk(dispatch, worker, chunk, abort);
-                if (!payload)
-                    return std::nullopt;
-                if (!decodeTrialChunk(*payload, local, chunk)) {
-                    abort.trip(strprintf(
-                        "chunk %llu: undecodable result payload",
-                        (unsigned long long)chunk.index));
-                    return std::nullopt;
-                }
-                journal.record(cfg.seed, chunk.index, *payload);
+                return Kind::hit(cfg, r);
             }
-            for (uint64_t t = chunk.firstItem; t <= chunk.lastItem; ++t)
-                results[t] = local[t - chunk.firstItem];
-            return std::nullopt;
+
+            std::string payload;
+            try {
+                payload = dispatch(worker, chunk);
+            } catch (const std::exception &e) {
+                abort.trip(strprintf("chunk %llu dispatch failed: %s",
+                                     (unsigned long long)chunk.index,
+                                     e.what()));
+                return std::nullopt;
+            }
+            if (!accept(payload, r, chunk)) {
+                abort.trip(strprintf(
+                    "chunk %llu: undecodable result payload",
+                    (unsigned long long)chunk.index));
+                return std::nullopt;
+            }
+            journal.record(cfg.seed, chunk.index, payload);
+            return Kind::hit(cfg, r);
         });
     const auto t1 = Clock::now();
-    abort.rethrow();
+    if (abort.tripped)
+        throw CampaignAborted(abort.why);
 
-    AccuracyCampaignResult result;
+    typename Kind::Result result;
     result.jobs = effectiveJobs(cfg.pool.jobs);
     result.chunksResumed = resumed.load();
     result.wallSeconds =
         std::chrono::duration<double>(t1 - t0).count();
-    for (const TrialResult &r : results) {
-        switch (r.verdict) {
-          case TrialVerdict::TruePositive:
-            ++result.truePositives;
-            break;
-          case TrialVerdict::FalsePositive:
-            ++result.falsePositives;
-            break;
-          case TrialVerdict::FalseNegative:
-            ++result.falseNegatives;
-            break;
-          case TrialVerdict::Quarantined:
-            // Quarantined trials contribute their record, never
-            // their partial statistics.
-            if (r.quarantine)
-                result.quarantined.push_back(*r.quarantine);
-            continue;
-        }
-        // Sum the counters only: `found` differs per trial (fresh
-        // keys), so a merged "found" would be meaningless here.
-        result.totals.guessesTested += r.stats.guessesTested;
-        result.totals.oracleQueries += r.stats.oracleQueries;
-        result.totals.cyclesSimulated += r.stats.cyclesSimulated;
-        result.totals.samplesTaken += r.stats.samplesTaken;
-        result.totals.escalations += r.stats.escalations;
-        result.totals.candidateRetries += r.stats.candidateRetries;
-        result.oracleStats.merge(r.oracle);
-        result.faultStats.merge(r.faults);
-        result.guessesPerTrial.add(double(r.stats.guessesTested));
-    }
+    // Merge in chunk order, up to and including the chunk holding the
+    // lowest hit: exactly the items a serial sweep would have run.
+    const size_t merged =
+        outcome.firstHit
+            ? std::min<size_t>(*outcome.firstHit / cfg.pool.chunkSize + 1,
+                               chunks.size())
+            : chunks.size();
+    Kind::merge(result, std::span(chunks.data(), merged), outcome);
     writeQuarantineFile(cfg.supervision, result.quarantined);
     return result;
 }
 
-AccuracyCampaignResult
-runAccuracyCampaign(const AccuracyCampaignConfig &cfg)
+template BruteForceCampaignResult
+runCampaignWith(const BruteForceCampaignConfig &, const ChunkDispatcher &);
+template AccuracyCampaignResult
+runCampaignWith(const AccuracyCampaignConfig &, const ChunkDispatcher &);
+
+namespace
+{
+
+/** In-process execution: one supervised Worker per pool slot. */
+template <class Config>
+typename CampaignKind<Config>::Result
+runCampaignLocal(const Config &cfg)
 {
     std::vector<std::unique_ptr<Worker>> workers(
         effectiveJobs(cfg.pool.jobs));
-    AccuracyCampaignResult result = runAccuracyCampaignWith(
+    auto result = runCampaignWith(
         cfg, [&](unsigned worker, const Chunk &chunk) {
-            Worker &w = prepareWorker(workers, worker, cfg.replica,
-                                      cfg.supervision);
-            return executeAccuracyChunk(w, cfg, chunk);
+            std::unique_ptr<Worker> &w = workers[worker];
+            if (!w)
+                w = std::make_unique<Worker>(cfg.replica,
+                                             cfg.supervision);
+            return CampaignKind<Config>::execute(*w, cfg, chunk);
         });
     for (const std::unique_ptr<Worker> &w : workers) {
         if (w)
@@ -457,44 +316,63 @@ runAccuracyCampaign(const AccuracyCampaignConfig &cfg)
     return result;
 }
 
-WorkOutcome
-replayQuarantine(const BruteForceCampaignConfig &cfg,
-                 const QuarantineRecord &record)
+} // anonymous namespace
+
+BruteForceCampaignResult
+runBruteForceCampaign(const BruteForceCampaignConfig &cfg)
 {
-    PACMAN_ASSERT(record.campaign == "bruteforce",
-                  "record is for campaign '%s', not bruteforce",
-                  record.campaign.c_str());
-    Worker w(cfg.replica, replaySupervision(cfg.supervision));
-    const WorkRequest req{record.chunkIndex, record.streamSeed,
+    return runCampaignLocal(cfg);
+}
+
+BruteForceCampaignResult
+runBruteForceCampaignWith(const BruteForceCampaignConfig &cfg,
+                          const ChunkDispatcher &dispatch)
+{
+    return runCampaignWith(cfg, dispatch);
+}
+
+AccuracyCampaignResult
+runAccuracyCampaign(const AccuracyCampaignConfig &cfg)
+{
+    return runCampaignLocal(cfg);
+}
+
+AccuracyCampaignResult
+runAccuracyCampaignWith(const AccuracyCampaignConfig &cfg,
+                        const ChunkDispatcher &dispatch)
+{
+    return runCampaignWith(cfg, dispatch);
+}
+
+template <class Config>
+WorkOutcome
+replayQuarantine(const Config &cfg, const QuarantineRecord &record)
+{
+    using Kind = CampaignKind<Config>;
+    PACMAN_ASSERT(record.campaign == Kind::Name,
+                  "record is for campaign '%s', not %s",
+                  record.campaign.c_str(), Kind::Name);
+    // Same budgets and recovery ladder, no journal: journaling
+    // belongs to the campaign owner.
+    SupervisionConfig sup = cfg.supervision;
+    sup.journalPath.clear();
+    sup.quarantinePath.clear();
+    sup.resume = false;
+    sup.crashAfterAppends = 0;
+    Worker w(cfg.replica, sup);
+    const WorkRequest req{record.streamSeed,
                           record.hasRekey
                               ? std::optional<uint64_t>(record.rekeySeed)
                               : std::nullopt};
     return w.run(req, [&](attack::PacOracle &oracle,
-                          kernel::Machine &) {
-        attack::PacBruteForcer forcer(oracle,
-                                      resamplePolicy(cfg.replica));
-        forcer.search(uint16_t(record.firstItem),
-                      uint16_t(record.lastItem));
+                          kernel::Machine &machine) {
+        Kind::replay(cfg, record, oracle, machine);
     });
 }
 
-WorkOutcome
-replayQuarantine(const AccuracyCampaignConfig &cfg,
-                 const QuarantineRecord &record)
-{
-    PACMAN_ASSERT(record.campaign == "accuracy",
-                  "record is for campaign '%s', not accuracy",
-                  record.campaign.c_str());
-    Worker w(cfg.replica, replaySupervision(cfg.supervision));
-    const WorkRequest req{record.firstItem, record.streamSeed,
-                          record.hasRekey
-                              ? std::optional<uint64_t>(record.rekeySeed)
-                              : std::nullopt};
-    TrialResult scratch;
-    return w.run(req, [&](attack::PacOracle &oracle,
-                          kernel::Machine &machine) {
-        runAccuracyTrial(cfg, oracle, machine, scratch);
-    });
-}
+template WorkOutcome replayQuarantine(const BruteForceCampaignConfig &,
+                                      const QuarantineRecord &);
+template WorkOutcome replayQuarantine(const AccuracyCampaignConfig &,
+                                      const QuarantineRecord &);
 
 } // namespace pacman::runner

@@ -2,37 +2,26 @@
  * @file
  * Deterministic parallel attack campaigns on top of the work pool
  * (pool.hh) and the supervised worker (worker.hh): the Section 8.2
- * PAC brute-force sweep and the Monte-Carlo oracle-accuracy run, both
- * embarrassingly parallel at the work-item level.
+ * PAC brute-force sweep and the Monte-Carlo oracle-accuracy run.
  *
- * Each pool worker drives a runner::Worker — a supervised replica
- * provisioned once from the campaign's machine seed (so every replica
- * draws identical per-boot PAC keys) and checkpointed
- * (sim::ReplicaCheckpoint). Per work item the worker restores the
- * checkpoint and switches the machine RNG to the stream derived from
- * (campaign_seed, item_index); accuracy trials additionally rotate
- * the PAC keys via Machine::rekey() with a per-trial key stream.
- * Provisioning is deterministic in the boot seed, so the restored
- * state is exactly the state a fresh construction would reach —
- * every per-item result is a pure function of the item index either
- * way, which is what lets the merged campaign output be bit-identical
- * at any thread count AND across the two provisioning modes.
- * ReplicaConfig::snapshot = false selects the fresh-provision
- * reference path, mirroring the fast-path equivalence rungs. See
- * DESIGN.md §4c/§4f.
+ * Each pool slot drives a runner::Worker, a replica provisioned once
+ * from the campaign's machine seed (identical per-boot PAC keys) and
+ * checkpointed. Per work item it restores the checkpoint and switches
+ * the machine RNG to the stream derived from (campaign_seed,
+ * item_index); accuracy trials also rekey from a per-trial stream.
+ * Every per-item result is thus a pure function of the item index, so
+ * the merged output is bit-identical at any thread count and with
+ * ReplicaConfig::snapshot off (the fresh-provision reference path).
+ * See DESIGN.md §4c/§4f.
  *
- * Durability (DESIGN.md §4g): with SupervisionConfig::journalPath
- * set, every completed chunk is appended fsync'd to an append-only
- * journal keyed by (campaign_seed, chunk_index), and a campaign
- * restarted with `resume` replays those chunks instead of recomputing
- * them. Because chunk results are serialized bit-exactly (doubles as
- * bit patterns) and merged identically, a killed-and-resumed campaign
- * reports the same fingerprint as an uninterrupted run at any --jobs
- * count — bench/chaos_recovery proves this by killing the process at
- * arbitrary record boundaries. Items the recovery ladder gives up on
- * are quarantined: excluded from the merged statistics, listed (with
- * their seed and fault context) in the result and the quarantine
- * file, and reproducible standalone via replayQuarantine().
+ * Durability (DESIGN.md §4g): with SupervisionConfig::journalPath set,
+ * every completed chunk is appended fsync'd to a journal keyed by
+ * (campaign_seed, chunk_index), and a run with `resume` replays those
+ * chunks bit-exactly instead of recomputing them, so a killed and
+ * resumed campaign reports the uninterrupted fingerprint at any
+ * --jobs. Items the recovery ladder gives up on are quarantined:
+ * excluded from the merged statistics, listed in the result and the
+ * quarantine file, and reproducible via replayQuarantine().
  */
 
 #ifndef PACMAN_RUNNER_CAMPAIGN_HH
@@ -49,6 +38,70 @@
 
 namespace pacman::runner
 {
+
+/**
+ * Remote-dispatch counters: how many chunks travelled, how often the
+ * dispatcher had to fail over to another endpoint, and why. Purely
+ * operational — which endpoint served a chunk is a wall-clock
+ * accident, so none of these are ever part of a campaign fingerprint
+ * (the chunk payloads themselves are endpoint-independent).
+ */
+struct DispatchStats
+{
+    uint64_t dispatched = 0;    //!< chunks served successfully
+    uint64_t retries = 0;       //!< redispatch attempts after failure
+    uint64_t failovers = 0;     //!< chunks completed on a non-first endpoint
+    uint64_t timeouts = 0;      //!< attempts abandoned by the host deadline
+    uint64_t wireErrors = 0;    //!< torn/corrupt connections
+    uint64_t busyExhaustions = 0; //!< BUSY backoff budgets spent
+    uint64_t breakerOpens = 0;  //!< circuit breakers tripped open
+    uint64_t probes = 0;        //!< half-open PING probes sent
+    uint64_t probeFailures = 0; //!< probes that kept a breaker open
+
+    uint64_t
+    faults() const
+    {
+        return timeouts + wireErrors + busyExhaustions;
+    }
+};
+
+/** The fields both campaign kinds' results share. */
+struct CampaignResultBase
+{
+    /** Merged oracle robustness counters (chunk/trial order). */
+    attack::OracleStats oracleStats;
+
+    /** Merged injected-fault counters (chunk/trial order). */
+    FaultStats faultStats;
+
+    /**
+     * Quarantined chunks or trials, in order. Their statistics are
+     * excluded from the merged counters — the ladder never completed
+     * them — but the list itself is deterministic and part of the
+     * fingerprint: a deterministic failure (an injected wedge caught
+     * by the guest-cycle budget) quarantines the same items at every
+     * --jobs count.
+     */
+    std::vector<QuarantineRecord> quarantined;
+
+    /** Summed recovery-ladder counters across workers. NOT part of
+     *  the fingerprint: host-deadline firings are wall-clock events,
+     *  and a resumed run skips recovered chunks entirely. */
+    RecoveryStats recovery;
+
+    /** Endpoint failover counters for remote campaigns (dispatch.hh);
+     *  all-zero for local runs, never in the fingerprint. */
+    DispatchStats dispatch;
+
+    unsigned jobs = 0;
+
+    /** Chunks replayed from the journal instead of recomputed (0 in
+     *  a fresh run; not part of the fingerprint). */
+    uint64_t chunksResumed = 0;
+
+    /** Host wall-clock seconds; NOT part of the deterministic output. */
+    double wallSeconds = 0;
+};
 
 /** PAC brute-force sweep over candidates [first, last]. */
 struct BruteForceCampaignConfig
@@ -68,7 +121,7 @@ struct BruteForceCampaignConfig
 };
 
 /** Deterministically merged brute-force campaign output. */
-struct BruteForceCampaignResult
+struct BruteForceCampaignResult : CampaignResultBase
 {
     /** Merged stats over exactly the candidates a serial low-to-high
      *  sweep would have tested (early exit at the first hit). */
@@ -77,44 +130,9 @@ struct BruteForceCampaignResult
     /** Per-candidate median-of-k decision miss counts. */
     SampleStat decisionMisses;
 
-    /** Merged oracle robustness counters (same chunk-order merge). */
-    attack::OracleStats oracleStats;
-
-    /** Merged injected-fault counters (same chunk-order merge). */
-    FaultStats faultStats;
-
-    /**
-     * Quarantined chunks (chunk order, same merge cutoff). Their
-     * statistics are excluded from the merged counters above — the
-     * ladder never completed them — but the quarantine list itself is
-     * deterministic and part of the fingerprint: a deterministic
-     * failure (an injected wedge caught by the guest-cycle budget)
-     * quarantines the same chunks at every --jobs count.
-     */
-    std::vector<QuarantineRecord> quarantined;
-
-    /** Summed recovery-ladder counters across workers. NOT part of
-     *  the fingerprint: host-deadline firings are wall-clock events,
-     *  and a resumed run skips recovered chunks entirely. */
-    RecoveryStats recovery;
-
-    /** Endpoint failover counters for remote campaigns (dispatch.hh);
-     *  all-zero for local runs. NOT part of the fingerprint: which
-     *  endpoint served a chunk is a wall-clock accident that never
-     *  changes the payload. */
-    DispatchStats dispatch;
-
-    unsigned jobs = 0;
     uint64_t chunksRun = 0;
     uint64_t chunksSkipped = 0;
     uint64_t chunksMerged = 0;
-
-    /** Chunks replayed from the journal instead of recomputed (0 in
-     *  a fresh run; not part of the fingerprint). */
-    uint64_t chunksResumed = 0;
-
-    /** Host wall-clock seconds; NOT part of the deterministic output. */
-    double wallSeconds = 0;
 
     /**
      * Canonical rendering of every deterministic field. Equal strings
@@ -124,38 +142,6 @@ struct BruteForceCampaignResult
      */
     std::string fingerprint() const;
 };
-
-/**
- * Produce one chunk's encoded result payload (chunk_codec.hh format)
- * on pool worker slot @p worker. The campaign runners are
- * parameterized on this so in-process execution (executeBfChunk
- * against a local runner::Worker) and remote execution (a CHUNK
- * request to pacman-oracled, client.hh) merge byte-identical
- * payloads — the dispatcher is the only thing that varies.
- */
-using ChunkDispatcher =
-    std::function<std::string(unsigned worker, const Chunk &chunk)>;
-
-/**
- * A campaign stopped before completion because a dispatcher failed
- * (e.g. the oracle server connection dropped) or returned an
- * undecodable payload. Chunks finished before the abort are already
- * journaled, so a resume recomputes only what is missing.
- */
-struct CampaignAborted : std::runtime_error
-{
-    using std::runtime_error::runtime_error;
-};
-
-BruteForceCampaignResult
-runBruteForceCampaign(const BruteForceCampaignConfig &cfg);
-
-/** Run the campaign with chunk execution delegated to @p dispatch
- *  (journal resume/record and the merge stay here). Throws
- *  CampaignAborted if any dispatch fails. */
-BruteForceCampaignResult
-runBruteForceCampaignWith(const BruteForceCampaignConfig &cfg,
-                          const ChunkDispatcher &dispatch);
 
 /**
  * Monte-Carlo oracle-accuracy campaign (Section 8.2's 50-run
@@ -184,7 +170,7 @@ struct AccuracyCampaignConfig
     SupervisionConfig supervision;
 };
 
-struct AccuracyCampaignResult
+struct AccuracyCampaignResult : CampaignResultBase
 {
     uint64_t truePositives = 0;
     uint64_t falsePositives = 0;
@@ -196,38 +182,52 @@ struct AccuracyCampaignResult
     /** Guesses needed per trial (distribution across trials). */
     SampleStat guessesPerTrial;
 
-    /** Summed oracle robustness counters across trials. */
-    attack::OracleStats oracleStats;
-
-    /** Summed injected-fault counters across trials. */
-    FaultStats faultStats;
-
-    /** Quarantined trials (trial order); excluded from the verdict
-     *  counts and totals, included in the fingerprint. */
-    std::vector<QuarantineRecord> quarantined;
-
-    /** Summed recovery-ladder counters; not in the fingerprint. */
-    RecoveryStats recovery;
-
-    /** Endpoint failover counters for remote campaigns (dispatch.hh);
-     *  all-zero for local runs, never in the fingerprint. */
-    DispatchStats dispatch;
-
-    unsigned jobs = 0;
-
-    /** Chunks replayed from the journal (not in the fingerprint). */
-    uint64_t chunksResumed = 0;
-
-    double wallSeconds = 0; //!< not part of the deterministic output
-
     /** Canonical rendering of the deterministic fields. */
     std::string fingerprint() const;
 };
 
+/**
+ * Produce one chunk's encoded result payload (chunk_codec.hh format)
+ * on pool worker slot @p worker. The campaign runners are
+ * parameterized on this so in-process execution (executeBfChunk
+ * against a local runner::Worker) and remote execution (a CHUNK
+ * request to pacman-oracled, dispatch.hh) merge byte-identical
+ * payloads — the dispatcher is the only thing that varies.
+ */
+using ChunkDispatcher =
+    std::function<std::string(unsigned worker, const Chunk &chunk)>;
+
+/**
+ * A campaign stopped before completion because a dispatcher failed
+ * (e.g. the oracle server connection dropped) or returned an
+ * undecodable payload. Chunks finished before the abort are already
+ * journaled, so a resume recomputes only what is missing.
+ */
+struct CampaignAborted : std::runtime_error
+{
+    using std::runtime_error::runtime_error;
+};
+
+/**
+ * The campaign runners. Every one of them is the same driver
+ * (campaign.cc) over the kind's CampaignKind traits (chunk_codec.hh):
+ * it opens the journal, resumes journaled chunks, dispatches the rest,
+ * decodes and records each payload, and merges in chunk order.
+ *
+ * run*Campaign executes chunks in-process on one supervised Worker
+ * per pool slot. run*CampaignWith delegates chunk execution to
+ * @p dispatch; it throws CampaignAborted if any dispatch fails.
+ */
+BruteForceCampaignResult
+runBruteForceCampaign(const BruteForceCampaignConfig &cfg);
+
+BruteForceCampaignResult
+runBruteForceCampaignWith(const BruteForceCampaignConfig &cfg,
+                          const ChunkDispatcher &dispatch);
+
 AccuracyCampaignResult
 runAccuracyCampaign(const AccuracyCampaignConfig &cfg);
 
-/** Dispatcher-parameterized variant (see runBruteForceCampaignWith). */
 AccuracyCampaignResult
 runAccuracyCampaignWith(const AccuracyCampaignConfig &cfg,
                         const ChunkDispatcher &dispatch);
@@ -239,11 +239,10 @@ runAccuracyCampaignWith(const AccuracyCampaignConfig &cfg,
  * item from the record's seeds. Every stream re-derives from the
  * recorded values, so a deterministic failure reproduces identically
  * — the returned outcome reports the same classification the
- * campaign quarantined the item under.
+ * campaign quarantined the item under. Defined for both configs.
  */
-WorkOutcome replayQuarantine(const BruteForceCampaignConfig &cfg,
-                             const QuarantineRecord &record);
-WorkOutcome replayQuarantine(const AccuracyCampaignConfig &cfg,
+template <class Config>
+WorkOutcome replayQuarantine(const Config &cfg,
                              const QuarantineRecord &record);
 
 } // namespace pacman::runner

@@ -1,8 +1,11 @@
 #include "chunk_codec.hh"
 
+#include <array>
 #include <bit>
+#include <charconv>
 #include <cstdio>
 #include <sstream>
+#include <type_traits>
 
 #include "base/logging.hh"
 
@@ -19,101 +22,82 @@ constexpr uint64_t KeySeedStream = 0x4B65'7973ull; // "Keys"
 
 // --- Chunk payload (de)serialization -------------------------------
 //
-// Payloads are line-oriented, one tagged line per embedded struct.
-// Doubles travel as their 64-bit patterns in hex, so a decoded chunk
-// merges bit-identical values — the resume and remote-dispatch
-// determinism contracts depend on this, not on printf round-tripping.
+// One tagged line per embedded struct. The unsigned fields of the S
+// (after found + 1), O and F lines, in wire order, as pointers into a
+// const or mutable struct:
+constexpr auto statsFields = [](auto &s) {
+    return std::array{&s.guessesTested,   &s.oracleQueries,
+                      &s.cyclesSimulated, &s.samplesTaken,
+                      &s.escalations,     &s.candidateRetries};
+};
 
-std::string
-encodeBfStats(const attack::BruteForceStats &s)
+constexpr auto oracleFields = [](auto &o) {
+    return std::array{&o.busyRetries, &o.disturbedQueries,
+                      &o.retriedQueries, &o.calibrations, &o.repairs};
+};
+
+constexpr auto faultFields = [](auto &f) {
+    return std::array{&f.contextSwitches, &f.fullFlushes,
+                      &f.partialFlushes,  &f.preemptions,
+                      &f.preemptedCycles, &f.timerStalls,
+                      &f.timerSkews,      &f.jitterBursts,
+                      &f.busyArms,        &f.migrations,
+                      &f.hangs};
+};
+
+template <class Fields>
+void
+appendFields(std::string &out, const Fields &fields)
 {
-    return strprintf(
-        "S %llu %llu %llu %llu %llu %llu %llu",
-        s.found ? (unsigned long long)*s.found + 1 : 0ull,
-        (unsigned long long)s.guessesTested,
-        (unsigned long long)s.oracleQueries,
-        (unsigned long long)s.cyclesSimulated,
-        (unsigned long long)s.samplesTaken,
-        (unsigned long long)s.escalations,
-        (unsigned long long)s.candidateRetries);
+    char buf[24];
+    for (const uint64_t *f : fields) {
+        out += ' ';
+        out.append(buf, std::to_chars(buf, buf + sizeof(buf), *f).ptr);
+    }
 }
 
+template <class Fields>
 bool
-decodeBfStats(std::istringstream &in, attack::BruteForceStats &s)
+decodeFields(std::istringstream &in, const Fields &fields)
 {
-    unsigned long long found1 = 0, g = 0, q = 0, c = 0, sm = 0, e = 0,
-                       r = 0;
-    if (!(in >> found1 >> g >> q >> c >> sm >> e >> r))
-        return false;
-    s = attack::BruteForceStats{};
-    if (found1)
-        s.found = uint16_t(found1 - 1);
-    s.guessesTested = g;
-    s.oracleQueries = q;
-    s.cyclesSimulated = c;
-    s.samplesTaken = sm;
-    s.escalations = e;
-    s.candidateRetries = r;
+    for (uint64_t *f : fields)
+        if (!(in >> *f))
+            return false;
     return true;
 }
 
-std::string
-encodeOracleStats(const attack::OracleStats &o)
+/** Append one result's S, O and F lines, a brute-force chunk's D line
+ *  and the Q line of a quarantine. D holds the samples in insertion
+ *  order: mean() sums in that order, so keeping it keeps rounding
+ *  identical on decode. */
+template <class R>
+void
+appendResult(std::string &out, const R &r)
 {
-    return strprintf("O %llu %llu %llu %llu %llu",
-                     (unsigned long long)o.busyRetries,
-                     (unsigned long long)o.disturbedQueries,
-                     (unsigned long long)o.retriedQueries,
-                     (unsigned long long)o.calibrations,
-                     (unsigned long long)o.repairs);
-}
-
-bool
-decodeOracleStats(std::istringstream &in, attack::OracleStats &o)
-{
-    o = attack::OracleStats{};
-    return bool(in >> o.busyRetries >> o.disturbedQueries >>
-                o.retriedQueries >> o.calibrations >> o.repairs);
-}
-
-std::string
-encodeFaultStats(const FaultStats &f)
-{
-    return strprintf(
-        "F %llu %llu %llu %llu %llu %llu %llu %llu %llu %llu %llu",
-        (unsigned long long)f.contextSwitches,
-        (unsigned long long)f.fullFlushes,
-        (unsigned long long)f.partialFlushes,
-        (unsigned long long)f.preemptions,
-        (unsigned long long)f.preemptedCycles,
-        (unsigned long long)f.timerStalls,
-        (unsigned long long)f.timerSkews,
-        (unsigned long long)f.jitterBursts,
-        (unsigned long long)f.busyArms,
-        (unsigned long long)f.migrations, (unsigned long long)f.hangs);
-}
-
-bool
-decodeFaultStats(std::istringstream &in, FaultStats &f)
-{
-    f = FaultStats{};
-    return bool(in >> f.contextSwitches >> f.fullFlushes >>
-                f.partialFlushes >> f.preemptions >> f.preemptedCycles >>
-                f.timerStalls >> f.timerSkews >> f.jitterBursts >>
-                f.busyArms >> f.migrations >> f.hangs);
-}
-
-/** Samples in insertion order: mean() sums in that order, so
- *  preserving it keeps floating-point rounding identical on decode. */
-std::string
-encodeSamples(const SampleStat &s)
-{
-    std::string out = strprintf("D %llu",
-                                (unsigned long long)s.count());
-    for (double v : s.samples())
-        out += strprintf(" %016llx",
-                         (unsigned long long)std::bit_cast<uint64_t>(v));
-    return out;
+    const uint64_t found1 = r.stats.found ? *r.stats.found + 1 : 0;
+    out += 'S';
+    appendFields(out, std::array{&found1});
+    appendFields(out, statsFields(r.stats));
+    out += "\nO";
+    appendFields(out, oracleFields(r.oracle));
+    out += "\nF";
+    appendFields(out, faultFields(r.faults));
+    out += '\n';
+    if constexpr (std::is_same_v<R, BfChunkResult>) {
+        const std::vector<double> &samples = r.decisions.samples();
+        const uint64_t n = samples.size();
+        out += 'D';
+        appendFields(out, std::array{&n});
+        char hex[20];
+        for (double v : samples) {
+            std::snprintf(hex, sizeof(hex), " %016llx",
+                          (unsigned long long)std::bit_cast<uint64_t>(v));
+            out += hex;
+        }
+        out += '\n';
+    }
+    if (r.quarantine)
+        out += "Q " + r.quarantine->serialize() + "\n";
 }
 
 bool
@@ -122,40 +106,86 @@ decodeSamples(std::istringstream &in, SampleStat &s)
     unsigned long long n = 0;
     if (!(in >> n))
         return false;
-    s.reset();
     for (unsigned long long i = 0; i < n; ++i) {
-        std::string word;
-        if (!(in >> word))
+        uint64_t bits = 0;
+        if (!parseHex64(in, bits))
             return false;
-        unsigned long long bits = 0;
-        if (sscanf(word.c_str(), "%llx", &bits) != 1)
-            return false;
-        s.add(std::bit_cast<double>(uint64_t(bits)));
+        s.add(std::bit_cast<double>(bits));
     }
     return true;
 }
 
-QuarantineRecord
-makeQuarantineRecord(const char *campaign, uint64_t campaign_seed,
-                     uint64_t chunk_index, uint64_t first_item,
-                     uint64_t last_item, const WorkRequest &req,
-                     const WorkOutcome &outcome)
+/** Bits of the line tags a decoder has seen for one result. */
+constexpr unsigned SeenS = 1, SeenO = 2, SeenF = 4, SeenQ = 8, SeenD = 16;
+
+/**
+ * Decode one tagged line of a brute-force chunk or of one trial into
+ * @p r, which starts default. False on a malformed line or on a tag
+ * already in @p seen; unknown tags are skipped.
+ */
+template <class R>
+bool
+decodeResultLine(const std::string &tag, std::istringstream &in, R &r,
+                 unsigned &seen)
 {
-    QuarantineRecord qr;
-    qr.campaign = campaign;
-    qr.campaignSeed = campaign_seed;
-    qr.chunkIndex = chunk_index;
-    qr.firstItem = first_item;
-    qr.lastItem = last_item;
-    qr.streamSeed = req.streamSeed;
-    if (req.rekeySeed) {
-        qr.rekeySeed = *req.rekeySeed;
-        qr.hasRekey = true;
+    unsigned bit = 0;
+    bool ok = true;
+    if (tag == "S") {
+        unsigned long long found1 = 0;
+        bit = SeenS;
+        ok = (in >> found1) && found1 <= 0x10000 &&
+             decodeFields(in, statsFields(r.stats));
+        if (found1)
+            r.stats.found = uint16_t(found1 - 1);
+    } else if (tag == "O") {
+        bit = SeenO;
+        ok = decodeFields(in, oracleFields(r.oracle));
+    } else if (tag == "F") {
+        bit = SeenF;
+        ok = decodeFields(in, faultFields(r.faults));
+    } else if (tag == "Q") {
+        std::string rest;
+        std::getline(in, rest);
+        bit = SeenQ;
+        r.quarantine = QuarantineRecord::parse(
+            rest.empty() || rest.front() != ' ' ? rest : rest.substr(1));
+        ok = r.quarantine.has_value();
+    } else if constexpr (std::is_same_v<R, BfChunkResult>) {
+        if (tag == "D") {
+            bit = SeenD;
+            ok = decodeSamples(in, r.decisions);
+        }
     }
-    qr.kind = outcome.quarantined.value_or(
-        WorkerFaultKind::PoisonedItem);
-    qr.detail = outcome.detail;
-    return qr;
+    if (seen & bit)
+        return false;
+    seen |= bit;
+    return ok;
+}
+
+/**
+ * Run one supervised work item into @p r, which covers items
+ * [first, last] of chunk @p chunk_index. An item no ladder rung
+ * completed keeps only its quarantine record: the partial attempt's
+ * statistics are dropped. Returns whether the item completed.
+ */
+template <class Config, class R>
+bool
+runItem(Worker &w, const Config &cfg, const WorkRequest &req,
+        const WorkFn &fn, R &r, uint64_t chunk_index, uint64_t first,
+        uint64_t last)
+{
+    const WorkOutcome oc = w.run(req, fn);
+    r.faults = w.faultStats();
+    if (oc.completed)
+        return true;
+    r = R{};
+    r.quarantine = QuarantineRecord{
+        CampaignKind<Config>::Name, cfg.seed, chunk_index, first, last,
+        req.streamSeed, req.rekeySeed.value_or(0),
+        req.rekeySeed.has_value(),
+        oc.quarantined.value_or(WorkerFaultKind::PoisonedItem),
+        oc.detail};
+    return false;
 }
 
 } // anonymous namespace
@@ -173,12 +203,8 @@ resamplePolicy(const ReplicaConfig &cfg)
 std::string
 encodeBfChunk(const BfChunkResult &r)
 {
-    std::string out = encodeBfStats(r.stats) + "\n" +
-                      encodeOracleStats(r.oracle) + "\n" +
-                      encodeFaultStats(r.faults) + "\n" +
-                      encodeSamples(r.decisions) + "\n";
-    if (r.quarantine)
-        out += "Q " + r.quarantine->serialize() + "\n";
+    std::string out;
+    appendResult(out, r);
     return out;
 }
 
@@ -187,32 +213,15 @@ decodeBfChunk(const std::string &payload, BfChunkResult &r)
 {
     r = BfChunkResult{};
     std::istringstream lines(payload);
-    std::string line;
-    bool s = false, o = false, f = false, d = false;
+    std::string line, tag;
+    unsigned seen = 0;
     while (std::getline(lines, line)) {
         std::istringstream in(line);
-        std::string tag;
-        if (!(in >> tag))
-            continue;
-        if (tag == "S")
-            s = decodeBfStats(in, r.stats);
-        else if (tag == "O")
-            o = decodeOracleStats(in, r.oracle);
-        else if (tag == "F")
-            f = decodeFaultStats(in, r.faults);
-        else if (tag == "D")
-            d = decodeSamples(in, r.decisions);
-        else if (tag == "Q") {
-            std::string rest;
-            std::getline(in, rest);
-            if (!rest.empty() && rest.front() == ' ')
-                rest.erase(0, 1);
-            r.quarantine = QuarantineRecord::parse(rest);
-            if (!r.quarantine)
-                return false;
-        }
+        if ((in >> tag) && !decodeResultLine(tag, in, r, seen))
+            return false;
     }
-    return s && o && f && d;
+    const unsigned required = SeenS | SeenO | SeenF | SeenD;
+    return (seen & required) == required;
 }
 
 std::string
@@ -224,11 +233,7 @@ encodeTrialChunk(const std::vector<TrialResult> &trials,
         const TrialResult &r = trials[t - chunk.firstItem];
         out += strprintf("T %llu %u\n", (unsigned long long)t,
                          unsigned(r.verdict));
-        out += encodeBfStats(r.stats) + "\n" +
-               encodeOracleStats(r.oracle) + "\n" +
-               encodeFaultStats(r.faults) + "\n";
-        if (r.quarantine)
-            out += "Q " + r.quarantine->serialize() + "\n";
+        appendResult(out, r);
     }
     return out;
 }
@@ -237,51 +242,40 @@ bool
 decodeTrialChunk(const std::string &payload,
                  std::vector<TrialResult> &trials, const Chunk &chunk)
 {
-    const uint64_t count = chunk.lastItem - chunk.firstItem + 1;
+    // Trials must arrive in order, each once, each with its S, O and
+    // F lines: a payload is bytes from outside the process (the
+    // journal, or a server's reply), and a repeated or missing trial
+    // must not decode to a silent default.
+    const uint64_t count = chunk.size();
     if (trials.size() != count)
         trials.assign(count, TrialResult{});
+    const unsigned required = SeenS | SeenO | SeenF;
     std::istringstream lines(payload);
-    std::string line;
-    TrialResult *cur = nullptr;
-    uint64_t seen = 0;
+    std::string line, tag;
+    uint64_t decoded = 0;
+    unsigned seen = required;
     while (std::getline(lines, line)) {
         std::istringstream in(line);
-        std::string tag;
         if (!(in >> tag))
             continue;
         if (tag == "T") {
             unsigned long long t = 0;
             unsigned v = 0;
-            if (!(in >> t >> v) || t < chunk.firstItem ||
-                t > chunk.lastItem ||
+            if ((seen & required) != required || decoded == count ||
+                !(in >> t >> v) || t != chunk.firstItem + decoded ||
                 v > unsigned(TrialVerdict::Quarantined))
                 return false;
-            cur = &trials[t - chunk.firstItem];
-            *cur = TrialResult{};
-            cur->verdict = TrialVerdict(v);
-            ++seen;
-        } else if (!cur) {
+            TrialResult &r = trials[decoded++];
+            r = TrialResult{};
+            r.verdict = TrialVerdict(v);
+            seen = 0;
+        } else if (decoded == 0 ||
+                   !decodeResultLine(tag, in, trials[decoded - 1],
+                                     seen)) {
             return false;
-        } else if (tag == "S") {
-            if (!decodeBfStats(in, cur->stats))
-                return false;
-        } else if (tag == "O") {
-            if (!decodeOracleStats(in, cur->oracle))
-                return false;
-        } else if (tag == "F") {
-            if (!decodeFaultStats(in, cur->faults))
-                return false;
-        } else if (tag == "Q") {
-            std::string rest;
-            std::getline(in, rest);
-            if (!rest.empty() && rest.front() == ' ')
-                rest.erase(0, 1);
-            cur->quarantine = QuarantineRecord::parse(rest);
-            if (!cur->quarantine)
-                return false;
         }
     }
-    return seen == count;
+    return decoded == count && (seen & required) == required;
 }
 
 std::string
@@ -292,11 +286,11 @@ executeBfChunk(Worker &w, const BruteForceCampaignConfig &cfg,
     // Same provision seed on every replica (same PAC keys — they are
     // sweeping for the *same* PAC), per-chunk RNG stream from the
     // item's index.
-    const WorkRequest req{chunk.index,
-                          Random::deriveSeed(cfg.seed, chunk.index),
+    const WorkRequest req{Random::deriveSeed(cfg.seed, chunk.index),
                           std::nullopt};
-    const WorkOutcome oc = w.run(
-        req, [&](attack::PacOracle &oracle, kernel::Machine &) {
+    runItem(
+        w, cfg, req,
+        [&](attack::PacOracle &oracle, kernel::Machine &) {
             // Reset first: the recovery ladder may run this several
             // times for one chunk.
             r = BfChunkResult{};
@@ -306,17 +300,9 @@ executeBfChunk(Worker &w, const BruteForceCampaignConfig &cfg,
                 uint16_t(cfg.first + chunk.firstItem),
                 uint16_t(cfg.first + chunk.lastItem), &r.decisions);
             r.oracle = oracle.stats();
-        });
-    r.faults = w.faultStats();
-    if (!oc.completed) {
-        // No rung completed the chunk: drop the partial attempt's
-        // statistics and quarantine it.
-        r = BfChunkResult{};
-        r.quarantine = makeQuarantineRecord(
-            "bruteforce", cfg.seed, chunk.index,
-            cfg.first + chunk.firstItem, cfg.first + chunk.lastItem,
-            req, oc);
-    }
+        },
+        r, chunk.index, cfg.first + chunk.firstItem,
+        cfg.first + chunk.lastItem);
     return encodeBfChunk(r);
 }
 
@@ -324,30 +310,23 @@ std::string
 executeAccuracyChunk(Worker &w, const AccuracyCampaignConfig &cfg,
                      const Chunk &chunk)
 {
-    std::vector<TrialResult> trials(chunk.lastItem - chunk.firstItem +
-                                    1);
+    std::vector<TrialResult> trials(chunk.size());
     for (uint64_t trial = chunk.firstItem; trial <= chunk.lastItem;
          ++trial) {
         // Fresh keys per trial — rekey from a dedicated key stream
         // (the checkpointed equivalent of a per-trial reboot) — then
         // the per-trial main stream.
         const uint64_t stream = Random::deriveSeed(cfg.seed, trial);
-        const WorkRequest req{trial, stream,
+        const WorkRequest req{stream,
                               Random::deriveSeed(stream, KeySeedStream)};
         TrialResult &r = trials[trial - chunk.firstItem];
-        const WorkOutcome oc = w.run(
-            req, [&](attack::PacOracle &oracle,
-                     kernel::Machine &machine) {
-                runAccuracyTrial(cfg, oracle, machine, r);
-            });
-        r.faults = w.faultStats();
-        if (!oc.completed) {
-            r = TrialResult{};
+        if (!runItem(
+                w, cfg, req,
+                [&](attack::PacOracle &oracle, kernel::Machine &machine) {
+                    runAccuracyTrial(cfg, oracle, machine, r);
+                },
+                r, chunk.index, trial, trial))
             r.verdict = TrialVerdict::Quarantined;
-            r.quarantine = makeQuarantineRecord("accuracy", cfg.seed,
-                                                chunk.index, trial,
-                                                trial, req, oc);
-        }
     }
     return encodeTrialChunk(trials, chunk);
 }
@@ -386,17 +365,6 @@ runAccuracyTrial(const AccuracyCampaignConfig &cfg,
         r.verdict = TrialVerdict::TruePositive;
     else
         r.verdict = TrialVerdict::FalsePositive;
-}
-
-SupervisionConfig
-replaySupervision(const SupervisionConfig &sup)
-{
-    SupervisionConfig replay = sup;
-    replay.journalPath.clear();
-    replay.quarantinePath.clear();
-    replay.resume = false;
-    replay.crashAfterAppends = 0;
-    return replay;
 }
 
 } // namespace pacman::runner

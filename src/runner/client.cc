@@ -16,7 +16,6 @@
 #include <thread>
 
 #include "base/logging.hh"
-#include "runner/dispatch.hh"
 
 namespace pacman::runner
 {
@@ -384,26 +383,6 @@ void
 OracleClient::drain()
 {
     callChecked("DRAIN", {}, {});
-}
-
-// --- Remote campaign runners (single endpoint) ---------------------
-
-BruteForceCampaignResult
-runBruteForceCampaignRemote(const BruteForceCampaignConfig &cfg,
-                            const std::string &endpoint)
-{
-    DispatchConfig dcfg;
-    dcfg.endpoints = {endpoint};
-    return runBruteForceCampaignRemote(cfg, dcfg);
-}
-
-AccuracyCampaignResult
-runAccuracyCampaignRemote(const AccuracyCampaignConfig &cfg,
-                          const std::string &endpoint)
-{
-    DispatchConfig dcfg;
-    dcfg.endpoints = {endpoint};
-    return runAccuracyCampaignRemote(cfg, dcfg);
 }
 
 } // namespace pacman::runner

@@ -1,17 +1,9 @@
 /**
  * @file
- * Client for pacman-oracled (server.hh): connection management,
- * pipelined request/response matching, the high-level single-query
- * API, and the remote campaign runners.
- *
- * A remote campaign is the dispatcher-parameterized local campaign
- * (campaign.hh) with chunk execution moved across the wire: each
- * pool slot holds one connection, every chunk travels as a CHUNK
- * request, and the returned chunk_codec payload is journaled and
- * merged by exactly the code the in-process path uses. The merged
- * fingerprint is therefore bit-identical to a local run at any
- * --jobs count — proven by bench/server_campaign and the server-kill
- * scenario of bench/chaos_recovery.
+ * Client for pacman-oracled (server.hh): endpoint parsing,
+ * connection management, pipelined request/response matching, and
+ * the high-level query, truth and CHUNK calls. The remote campaign
+ * runners that drive it live in dispatch.hh.
  *
  * Failure model: a BUSY response (admission control) is retried with
  * exponential backoff, bounded by ClientOptions::busyDeadlineSeconds
@@ -20,11 +12,7 @@
  * and torn connections throw WireError. Every one of these closes the
  * connection first — a timed-out or desynchronised stream can never
  * be reused — so callers reconnect (or fail over, dispatch.hh) from a
- * clean slate. The single-endpoint campaign runners below route
- * through a one-endpoint EndpointPool, which converts the final
- * failure to CampaignAborted; completed chunks stay journaled, so
- * rerunning with SupervisionConfig::resume picks up where the
- * campaign died.
+ * clean slate.
  */
 
 #ifndef PACMAN_RUNNER_CLIENT_HH
@@ -75,7 +63,7 @@ std::optional<Endpoint> parseEndpoint(const std::string &spec);
  * Open a connected stream socket to @p ep (TCP resolution is
  * AF_UNSPEC; @p timeout_seconds > 0 bounds the TCP handshake, throwing
  * WireTimeout on expiry). The caller owns the returned fd. Shared by
- * OracleClient and relays (chaos_proxy.hh) that dial upstream.
+ * OracleClient and relays (bench/chaos_proxy.hh) that dial upstream.
  */
 int connectEndpoint(const Endpoint &ep, double timeout_seconds = 0);
 
@@ -130,12 +118,6 @@ class OracleClient
     void reconnect();
 
     bool connected() const { return fd_ >= 0; }
-
-    /** The endpoint of the last connect() (empty for adopt()). */
-    const std::string &endpoint() const { return endpoint_; }
-
-    const ClientOptions &options() const { return opts_; }
-    void setOptions(const ClientOptions &opts) { opts_ = opts; }
 
     void close();
 
@@ -210,22 +192,6 @@ class OracleClient
     ClientOptions opts_;
     std::map<uint64_t, WireMessage> pending_;
 };
-
-/**
- * Run a whole campaign against a single pacman-oracled endpoint —
- * shorthand for an EndpointPool of one (dispatch.hh), which is where
- * deadlines, reconnects and the retry budget live. Throws
- * CampaignAborted when the endpoint stays unreachable past the retry
- * budget. For multi-endpoint failover, use the DispatchConfig
- * overloads in dispatch.hh.
- */
-BruteForceCampaignResult
-runBruteForceCampaignRemote(const BruteForceCampaignConfig &cfg,
-                            const std::string &endpoint);
-
-AccuracyCampaignResult
-runAccuracyCampaignRemote(const AccuracyCampaignConfig &cfg,
-                          const std::string &endpoint);
 
 } // namespace pacman::runner
 

@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "base/logging.hh"
-#include "runner/pool.hh"
+#include "runner/chunk_codec.hh"
 
 namespace pacman::runner
 {
@@ -40,16 +40,6 @@ struct EndpointPool::Impl
     {
         for (auto &row : conns)
             row.resize(cfg.endpoints.size());
-    }
-
-    ClientOptions
-    chunkOptions() const
-    {
-        ClientOptions o;
-        o.connectTimeoutSeconds = cfg.connectTimeoutSeconds;
-        o.readTimeoutSeconds = cfg.chunkDeadlineSeconds;
-        o.busyDeadlineSeconds = cfg.busyDeadlineSeconds;
-        return o;
     }
 
     /**
@@ -96,11 +86,8 @@ struct EndpointPool::Impl
     {
         bool ok = false;
         try {
-            ClientOptions o;
-            o.connectTimeoutSeconds = cfg.probeTimeoutSeconds;
-            o.readTimeoutSeconds = cfg.probeTimeoutSeconds;
-            o.busyDeadlineSeconds = cfg.probeTimeoutSeconds;
-            OracleClient probe(cfg.endpoints[ep], o);
+            const double t = cfg.probeTimeoutSeconds;
+            OracleClient probe(cfg.endpoints[ep], ClientOptions{t, t, t});
             ok = probe.ping();
         } catch (const WireError &) {
             ok = false;
@@ -172,7 +159,7 @@ EndpointPool::chunkPayload(unsigned worker,
                   "worker slot out of range");
     const size_t preferred = worker % cfg_.endpoints.size();
     const unsigned max_attempts = cfg_.effectiveMaxAttempts();
-    double backoff = cfg_.backoffMinSeconds;
+    double backoff = BackoffMinSeconds;
     std::string last_error = "no endpoint available";
 
     for (unsigned attempt = 0; attempt < max_attempts; ++attempt) {
@@ -182,7 +169,7 @@ EndpointPool::chunkPayload(unsigned worker,
                 ++impl_->stats.retries;
             }
             std::this_thread::sleep_for(seconds(backoff));
-            backoff = std::min(backoff * 2, cfg_.backoffMaxSeconds);
+            backoff = std::min(backoff * 2, BackoffMaxSeconds);
         }
 
         const std::optional<size_t> picked =
@@ -197,8 +184,10 @@ EndpointPool::chunkPayload(unsigned worker,
             impl_->conns[worker][ep];
         try {
             if (!conn)
-                conn = std::make_unique<OracleClient>(
-                    impl_->chunkOptions());
+                conn = std::make_unique<OracleClient>(ClientOptions{
+                    .connectTimeoutSeconds = ConnectTimeoutSeconds,
+                    .readTimeoutSeconds = cfg_.chunkDeadlineSeconds,
+                    .busyDeadlineSeconds = cfg_.busyDeadlineSeconds});
             if (!conn->connected())
                 conn->connect(cfg_.endpoints[ep]);
             std::string payload = conn->chunkPayload(request_body);
@@ -262,34 +251,39 @@ EndpointPool::breakerOpen(size_t index) const
     return impl_->health[index].open;
 }
 
-// --- Multi-endpoint campaign runners -------------------------------
+// --- Remote campaign runners --------------------------------------
+
+namespace
+{
+
+template <class Config>
+typename CampaignKind<Config>::Result
+runCampaignRemote(const Config &cfg, const DispatchConfig &dispatch)
+{
+    EndpointPool pool(dispatch, effectiveJobs(cfg.pool.jobs));
+    auto result = runCampaignWith(
+        cfg, [&](unsigned worker, const Chunk &chunk) {
+            return pool.chunkPayload(
+                worker, CampaignKind<Config>::request(cfg, chunk));
+        });
+    result.dispatch = pool.stats();
+    return result;
+}
+
+} // anonymous namespace
 
 BruteForceCampaignResult
 runBruteForceCampaignRemote(const BruteForceCampaignConfig &cfg,
                             const DispatchConfig &dispatch)
 {
-    EndpointPool pool(dispatch, effectiveJobs(cfg.pool.jobs));
-    BruteForceCampaignResult result = runBruteForceCampaignWith(
-        cfg, [&](unsigned worker, const Chunk &chunk) {
-            return pool.chunkPayload(worker,
-                                     encodeBfChunkRequest(cfg, chunk));
-        });
-    result.dispatch = pool.stats();
-    return result;
+    return runCampaignRemote(cfg, dispatch);
 }
 
 AccuracyCampaignResult
 runAccuracyCampaignRemote(const AccuracyCampaignConfig &cfg,
                           const DispatchConfig &dispatch)
 {
-    EndpointPool pool(dispatch, effectiveJobs(cfg.pool.jobs));
-    AccuracyCampaignResult result = runAccuracyCampaignWith(
-        cfg, [&](unsigned worker, const Chunk &chunk) {
-            return pool.chunkPayload(
-                worker, encodeAccuracyChunkRequest(cfg, chunk));
-        });
-    result.dispatch = pool.stats();
-    return result;
+    return runCampaignRemote(cfg, dispatch);
 }
 
 } // namespace pacman::runner

@@ -25,15 +25,16 @@
  * Per attempt, a chunk is bounded by `chunkDeadlineSeconds`
  * (poll-based read timeout — a wedged endpoint that accepted the
  * connection but never answers is detected within one deadline, never
- * blocked on forever) plus the client's connect/BUSY budgets. On
- * timeout, torn connection, CRC mismatch, or BUSY exhaustion the
- * connection is closed, the endpoint's failure count bumped, and the
- * chunk redispatched to the next healthy endpoint under exponential
- * backoff, up to `maxAttempts` total tries. Only when every endpoint
- * has been exhausted does dispatch give up, throwing a DispatchError
- * classified DispatchExhausted — the campaign then aborts
- * (CampaignAborted), with every completed chunk already journaled for
- * a bit-identical resume.
+ * blocked on forever), the fixed ConnectTimeoutSeconds and the BUSY
+ * budget. On timeout, torn connection, CRC mismatch, or BUSY
+ * exhaustion the connection is closed, the endpoint's failure count
+ * bumped, and the chunk redispatched to the next healthy endpoint
+ * under exponential backoff (BackoffMinSeconds doubling up to
+ * BackoffMaxSeconds), up to `maxAttempts` total tries. Only when
+ * every endpoint has been exhausted does dispatch give up, throwing a
+ * DispatchError classified DispatchExhausted — the campaign then
+ * aborts (CampaignAborted), with every completed chunk already
+ * journaled for a bit-identical resume.
  */
 
 #ifndef PACMAN_RUNNER_DISPATCH_HH
@@ -50,6 +51,13 @@
 namespace pacman::runner
 {
 
+/** TCP connect bound per chunk attempt. */
+constexpr double ConnectTimeoutSeconds = 1.0;
+
+/** Exponential inter-attempt backoff bounds. */
+constexpr double BackoffMinSeconds = 0.005;
+constexpr double BackoffMaxSeconds = 0.25;
+
 /** Failover/health knobs for a multi-endpoint campaign. */
 struct DispatchConfig
 {
@@ -58,11 +66,8 @@ struct DispatchConfig
     std::vector<std::string> endpoints;
 
     /** Per-attempt host deadline for one chunk's response; 0 = wait
-     *  forever (single-endpoint legacy behaviour). */
+     *  forever. */
     double chunkDeadlineSeconds = 0;
-
-    /** TCP connect bound per attempt; 0 = OS default. */
-    double connectTimeoutSeconds = 1.0;
 
     /** BUSY backoff budget per attempt; 0 = retry forever. */
     double busyDeadlineSeconds = 0;
@@ -80,10 +85,6 @@ struct DispatchConfig
     /** Total dispatch attempts per chunk across all endpoints;
      *  0 = max(4, 2 * endpoints). */
     unsigned maxAttempts = 0;
-
-    /** Exponential inter-attempt backoff bounds (seconds). */
-    double backoffMinSeconds = 0.005;
-    double backoffMaxSeconds = 0.25;
 
     /** Resolved attempt budget. */
     unsigned
@@ -149,8 +150,6 @@ class EndpointPool
     /** Whether endpoint @p index's breaker is open (tests). */
     bool breakerOpen(size_t index) const;
 
-    const DispatchConfig &config() const { return cfg_; }
-
   private:
     struct Impl;
 
@@ -159,10 +158,10 @@ class EndpointPool
 };
 
 /**
- * Multi-endpoint remote campaign runners: the dispatcher is an
- * EndpointPool, everything else (journal, resume, merge, fingerprint)
- * is the shared campaign machinery. The result's `dispatch` counters
- * report the failovers the run survived.
+ * Remote campaign runners: the shared campaign driver (chunk_codec.hh)
+ * with an EndpointPool as its dispatcher. The result's `dispatch`
+ * counters report the failovers the run survived. A single endpoint
+ * is DispatchConfig{{endpoint}}.
  */
 BruteForceCampaignResult
 runBruteForceCampaignRemote(const BruteForceCampaignConfig &cfg,

@@ -53,6 +53,8 @@ struct Chunk
     uint64_t index;     //!< chunk number, 0-based
     uint64_t firstItem; //!< first item covered
     uint64_t lastItem;  //!< last item covered (inclusive)
+
+    uint64_t size() const { return lastItem - firstItem + 1; }
 };
 
 /**

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <charconv>
 #include <cerrno>
 #include <chrono>
 #include <cstdint>
@@ -50,15 +51,14 @@ hexBits(double v)
 bool
 parseBits(std::istringstream &in, double &v)
 {
-    std::string word;
-    if (!(in >> word))
+    uint64_t bits = 0;
+    if (!parseHex64(in, bits))
         return false;
-    unsigned long long bits = 0;
-    if (sscanf(word.c_str(), "%llx", &bits) != 1)
-        return false;
-    v = std::bit_cast<double>(uint64_t(bits));
+    v = std::bit_cast<double>(bits);
     return true;
 }
+
+} // anonymous namespace
 
 bool
 parseHex64(std::istringstream &in, uint64_t &v)
@@ -66,14 +66,10 @@ parseHex64(std::istringstream &in, uint64_t &v)
     std::string word;
     if (!(in >> word))
         return false;
-    unsigned long long bits = 0;
-    if (sscanf(word.c_str(), "%llx", &bits) != 1)
-        return false;
-    v = bits;
-    return true;
+    const char *end = word.data() + word.size();
+    const auto [ptr, ec] = std::from_chars(word.data(), end, v, 16);
+    return ec == std::errc{} && ptr == end;
 }
-
-} // anonymous namespace
 
 void
 writeBytes(int fd, const char *data, size_t len)
@@ -487,22 +483,22 @@ decodeChunkRequest(const std::string &body)
     if (!(gin >> tag >> kind))
         return std::nullopt;
     if (kind == "bf") {
+        auto &bf = req.config.emplace<BruteForceCampaignConfig>();
         unsigned first = 0, last = 0;
-        if (!parseHex64(gin, req.bf.seed) || !(gin >> first >> last) ||
+        if (!parseHex64(gin, bf.seed) || !(gin >> first >> last) ||
             first > 0xFFFF || last > 0xFFFF || first > last)
             return std::nullopt;
-        req.kind = ChunkRequest::Kind::BruteForce;
-        req.bf.replica = replica;
-        req.bf.supervision = sup;
-        req.bf.first = uint16_t(first);
-        req.bf.last = uint16_t(last);
+        bf.replica = std::move(replica);
+        bf.supervision = std::move(sup);
+        bf.first = uint16_t(first);
+        bf.last = uint16_t(last);
     } else if (kind == "acc") {
-        if (!parseHex64(gin, req.acc.seed) ||
-            !(gin >> req.acc.trials >> req.acc.window))
+        auto &acc = req.config.emplace<AccuracyCampaignConfig>();
+        if (!parseHex64(gin, acc.seed) ||
+            !(gin >> acc.trials >> acc.window))
             return std::nullopt;
-        req.kind = ChunkRequest::Kind::Accuracy;
-        req.acc.replica = replica;
-        req.acc.supervision = sup;
+        acc.replica = std::move(replica);
+        acc.supervision = std::move(sup);
     } else {
         return std::nullopt;
     }

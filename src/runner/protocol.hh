@@ -35,9 +35,11 @@
 
 #include <cstdint>
 #include <optional>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <variant>
 
 #include "runner/campaign.hh"
 
@@ -60,6 +62,10 @@ struct WireTimeout : WireError
 {
     using WireError::WireError;
 };
+
+/** Read one whitespace-delimited word that is entirely hex digits
+ *  (at most 16). False on anything else, leaving @p v unspecified. */
+bool parseHex64(std::istringstream &in, uint64_t &v);
 
 /** Frame payloads above this are rejected as desynchronisation. */
 constexpr uint32_t MaxFrameBytes = 64u << 20;
@@ -145,15 +151,7 @@ bool decodeReplicaWire(const std::string &text, ReplicaConfig &cfg,
 /** A decoded CHUNK request: which campaign, and which chunk of it. */
 struct ChunkRequest
 {
-    enum class Kind
-    {
-        BruteForce,
-        Accuracy,
-    };
-
-    Kind kind = Kind::BruteForce;
-    BruteForceCampaignConfig bf;
-    AccuracyCampaignConfig acc;
+    std::variant<BruteForceCampaignConfig, AccuracyCampaignConfig> config;
     Chunk chunk;
 
     /** The replica-wire text (server replica-cache key). */

@@ -20,6 +20,7 @@
 #include <mutex>
 #include <sstream>
 #include <thread>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -175,7 +176,7 @@ struct OracleServer::Impl
                     Job &job);
     CachedWorker &getWorker(
         std::unordered_map<std::string, CachedWorker> &cache,
-        const std::string &key, const std::string &config_text);
+        const std::string &config_text);
     void accountWorker(CachedWorker &cw, uint64_t items);
     std::string metricsJson() const;
 };
@@ -289,9 +290,9 @@ OracleServer::Impl::readerLoop(std::shared_ptr<Connection> conn)
 CachedWorker &
 OracleServer::Impl::getWorker(
     std::unordered_map<std::string, CachedWorker> &cache,
-    const std::string &key, const std::string &config_text)
+    const std::string &config_text)
 {
-    CachedWorker &cw = cache[key];
+    CachedWorker &cw = cache[config_text];
     if (!cw.worker) {
         ReplicaConfig replica;
         SupervisionConfig sup;
@@ -358,26 +359,18 @@ OracleServer::Impl::executeJob(
             std::istringstream in(job.msg.args);
             uint64_t candidate = 0, stream = 0;
             if (verb == "QUERY") {
-                std::string cand_w, stream_w;
-                unsigned long long c = 0, s = 0;
-                if (!(in >> cand_w >> stream_w) ||
-                    sscanf(cand_w.c_str(), "%llx", &c) != 1 ||
-                    sscanf(stream_w.c_str(), "%llx", &s) != 1 ||
-                    c > 0xFFFF) {
+                if (!parseHex64(in, candidate) ||
+                    !parseHex64(in, stream) || candidate > 0xFFFF)
                     throw std::runtime_error(
                         "usage: QUERY <pac-hex> <stream-seed-hex>");
-                }
-                candidate = c;
-                stream = s;
             } else if (!cfg.allowTruth) {
                 throw std::runtime_error("TRUTH disabled");
             }
-            CachedWorker &cw =
-                getWorker(cache, job.msg.body, job.msg.body);
+            CachedWorker &cw = getWorker(cache, job.msg.body);
             // Tenant isolation: restore the checkpoint (discarding
             // the previous request's state), then rotate to the
             // tenant's PAC keys.
-            const WorkRequest req{stream, stream, job.tenantKey};
+            const WorkRequest req{stream, job.tenantKey};
             if (verb == "QUERY") {
                 double misses = 0;
                 bool hot = false;
@@ -424,24 +417,20 @@ OracleServer::Impl::executeJob(
                 decodeChunkRequest(job.msg.body);
             if (!req)
                 throw std::runtime_error("undecodable chunk request");
+            CachedWorker &cw = getWorker(cache, req->configKey);
             std::string payload;
-            uint64_t items = 1;
-            CachedWorker &cw =
-                getWorker(cache, req->configKey, req->configKey);
-            if (req->kind == ChunkRequest::Kind::BruteForce) {
-                const uint64_t n =
-                    uint64_t(req->bf.last) - req->bf.first + 1;
-                if (req->chunk.lastItem >= n)
-                    throw std::runtime_error("chunk out of range");
-                payload = executeBfChunk(*cw.worker, req->bf,
-                                         req->chunk);
-            } else {
-                if (req->chunk.lastItem >= req->acc.trials)
-                    throw std::runtime_error("chunk out of range");
-                payload = executeAccuracyChunk(*cw.worker, req->acc,
-                                               req->chunk);
-                items = req->chunk.lastItem - req->chunk.firstItem + 1;
-            }
+            uint64_t items = 0;
+            std::visit(
+                [&](const auto &campaign) {
+                    using Kind =
+                        CampaignKind<std::decay_t<decltype(campaign)>>;
+                    if (req->chunk.lastItem >= Kind::items(campaign))
+                        throw std::runtime_error("chunk out of range");
+                    payload =
+                        Kind::execute(*cw.worker, campaign, req->chunk);
+                    items = Kind::workItems(req->chunk);
+                },
+                req->config);
             accountWorker(cw, items);
             const uint64_t served = chunksServed.fetch_add(1) + 1;
             reply(job.conn, id, "OK", {}, payload);

@@ -154,9 +154,6 @@ struct SupervisionConfig
 /** One work item, identified by seeds — never by thread. */
 struct WorkRequest
 {
-    /** Chunk/trial index (quarantine bookkeeping only). */
-    uint64_t itemIndex = 0;
-
     /** The item's main RNG stream (Machine::reseedRng). */
     uint64_t streamSeed = 0;
 

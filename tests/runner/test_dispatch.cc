@@ -421,8 +421,6 @@ TEST(EndpointPoolTest, AllEndpointsDeadExhaustsAndOpensBreaker)
     dcfg.breakerThreshold = 2;
     dcfg.maxAttempts = 4;
     dcfg.probeAfterSeconds = 30; // never probe-eligible in this test
-    dcfg.backoffMinSeconds = 0.001;
-    dcfg.backoffMaxSeconds = 0.002;
 
     EndpointPool pool(dcfg, /*workers=*/1);
     try {
@@ -511,7 +509,6 @@ TEST(EndpointPoolTest, RemoteCampaignFailsOverFromDeadEndpoint)
     dcfg.breakerThreshold = 1;
     dcfg.probeAfterSeconds = 30;
     dcfg.chunkDeadlineSeconds = 30;
-    dcfg.backoffMinSeconds = 0.001;
 
     for (unsigned jobs : {1u, 4u}) {
         cfg.pool.jobs = jobs;

@@ -8,6 +8,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "base/faults.hh"
@@ -17,6 +18,7 @@
 #include "kernel/layout.hh"
 #include "kernel/machine.hh"
 #include "runner/client.hh"
+#include "runner/dispatch.hh"
 #include "runner/protocol.hh"
 #include "runner/server.hh"
 
@@ -165,10 +167,12 @@ TEST(Protocol, ChunkRequestRoundTrip)
     const auto req =
         decodeChunkRequest(encodeBfChunkRequest(bf, chunk));
     ASSERT_TRUE(req.has_value());
-    EXPECT_EQ(req->kind, ChunkRequest::Kind::BruteForce);
-    EXPECT_EQ(req->bf.seed, 0x5EEDu);
-    EXPECT_EQ(req->bf.first, 0x0100);
-    EXPECT_EQ(req->bf.last, 0x01FF);
+    ASSERT_TRUE(
+        std::holds_alternative<BruteForceCampaignConfig>(req->config));
+    const auto &rbf = std::get<BruteForceCampaignConfig>(req->config);
+    EXPECT_EQ(rbf.seed, 0x5EEDu);
+    EXPECT_EQ(rbf.first, 0x0100);
+    EXPECT_EQ(rbf.last, 0x01FF);
     EXPECT_EQ(req->chunk.index, 2u);
     EXPECT_EQ(req->chunk.firstItem, 32u);
     EXPECT_EQ(req->chunk.lastItem, 47u);
@@ -183,10 +187,12 @@ TEST(Protocol, ChunkRequestRoundTrip)
     const auto areq =
         decodeChunkRequest(encodeAccuracyChunkRequest(acc, chunk));
     ASSERT_TRUE(areq.has_value());
-    EXPECT_EQ(areq->kind, ChunkRequest::Kind::Accuracy);
-    EXPECT_EQ(areq->acc.seed, 0xACCu);
-    EXPECT_EQ(areq->acc.trials, 12u);
-    EXPECT_EQ(areq->acc.window, 64u);
+    ASSERT_TRUE(
+        std::holds_alternative<AccuracyCampaignConfig>(areq->config));
+    const auto &racc = std::get<AccuracyCampaignConfig>(areq->config);
+    EXPECT_EQ(racc.seed, 0xACCu);
+    EXPECT_EQ(racc.trials, 12u);
+    EXPECT_EQ(racc.window, 64u);
 
     EXPECT_FALSE(decodeChunkRequest("").has_value());
     EXPECT_FALSE(decodeChunkRequest("G bf zz 0 0\nK 0 0 0\n")
@@ -410,7 +416,7 @@ TEST(Server, RemoteBruteForceFingerprintMatchesLocal)
     for (unsigned jobs : {1u, 4u}) {
         cfg.pool.jobs = jobs;
         const BruteForceCampaignResult remote =
-            runBruteForceCampaignRemote(cfg, ts.endpoint());
+            runBruteForceCampaignRemote(cfg, DispatchConfig{{ts.endpoint()}});
         EXPECT_EQ(remote.fingerprint(), local) << "jobs=" << jobs;
         ASSERT_TRUE(remote.stats.found.has_value());
         EXPECT_EQ(*remote.stats.found, truth);
@@ -430,7 +436,7 @@ TEST(Server, RemoteBruteForceFingerprintMatchesLocalUnderFaults)
 
     TestServer ts(/*threads=*/2);
     cfg.pool.jobs = 4;
-    EXPECT_EQ(runBruteForceCampaignRemote(cfg, ts.endpoint())
+    EXPECT_EQ(runBruteForceCampaignRemote(cfg, DispatchConfig{{ts.endpoint()}})
                   .fingerprint(),
               local);
 }
@@ -450,7 +456,7 @@ TEST(Server, RemoteAccuracyFingerprintMatchesLocal)
     TestServer ts(/*threads=*/2);
     cfg.pool.jobs = 2;
     const AccuracyCampaignResult remote =
-        runAccuracyCampaignRemote(cfg, ts.endpoint());
+        runAccuracyCampaignRemote(cfg, DispatchConfig{{ts.endpoint()}});
     EXPECT_EQ(remote.fingerprint(), local);
     EXPECT_EQ(remote.truePositives + remote.falsePositives +
                   remote.falseNegatives,
@@ -471,13 +477,14 @@ TEST(Server, RemoteCampaignJournalsAndResumes)
 
     TestServer ts;
     const std::string first =
-        runBruteForceCampaignRemote(cfg, ts.endpoint()).fingerprint();
+        runBruteForceCampaignRemote(cfg, DispatchConfig{{ts.endpoint()}})
+            .fingerprint();
 
     // Resume replays every chunk from the journal: same fingerprint,
     // and the server sees no new CHUNK requests.
     cfg.supervision.resume = true;
     const BruteForceCampaignResult resumed =
-        runBruteForceCampaignRemote(cfg, ts.endpoint());
+        runBruteForceCampaignRemote(cfg, DispatchConfig{{ts.endpoint()}});
     EXPECT_EQ(resumed.fingerprint(), first);
     EXPECT_GT(resumed.chunksResumed, 0u);
 
@@ -495,7 +502,7 @@ TEST(Server, AbortedRemoteCampaignThrowsCampaignAborted)
     // campaign aborts instead of returning partial results.
     const std::string endpoint =
         "unix:" + ::testing::TempDir() + "pacman_no_such_server.sock";
-    EXPECT_THROW(runBruteForceCampaignRemote(cfg, endpoint),
+    EXPECT_THROW(runBruteForceCampaignRemote(cfg, DispatchConfig{{endpoint}}),
                  CampaignAborted);
 }
 

@@ -129,8 +129,7 @@ smallReplica()
 WorkRequest
 request(uint64_t item)
 {
-    return WorkRequest{item, Random::deriveSeed(7, item),
-                       std::nullopt};
+    return WorkRequest{Random::deriveSeed(7, item), std::nullopt};
 }
 
 /** A harmless item: touch a few fault opportunities. */
